@@ -39,8 +39,8 @@
 #include "analysis/crg.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
-#include "sim/journal.hh"
 #include "sim/options.hh"
 #include "sim/runner.hh"
 #include "sim/sink.hh"
@@ -148,52 +148,18 @@ struct BenchOptions
 };
 
 /**
- * Run one fault-isolated campaign cell (all cores of one experiment):
- * serve it from the --resume journal when already completed, otherwise
- * tryRun it — a fault becomes a quarantined failed() placeholder (and
- * a failure-ledger increment) instead of killing the campaign — and
- * journal a fresh success durably before returning.
+ * Run one fault-isolated campaign cell (all cores of one experiment)
+ * through runCell(): served from the --resume journal when already
+ * completed, otherwise tryRun — a fault becomes a quarantined failed()
+ * placeholder and a failure-ledger increment instead of killing the
+ * campaign — with a fresh success journaled durably before returning.
  */
 inline std::vector<RunResult>
 campaignCellAll(const BenchOptions &opt, const ExperimentSpec &spec)
 {
-    const std::size_t ncores =
-        spec.workloads().empty() ? 1 : spec.workloads().size();
-    std::vector<std::string> keys;
-    if (opt.journal && !spec.workloads().empty()) {
-        MachineConfig m = spec.machineConfig();
-        m.numCores = static_cast<unsigned>(ncores);
-        const std::string fp = m.fingerprint();
-        for (std::size_t i = 0; i < ncores; ++i)
-            keys.push_back(journalKey(fp, spec.experimentParams(),
-                                      spec.workloads()[i].name,
-                                      spec.contention(i)));
-        // The cell resumes only when every core of it was journaled
-        // (they complete atomically, so either all or none are).
-        std::vector<RunResult> cached;
-        for (const auto &key : keys) {
-            const RunResult *done = opt.journal->find(key);
-            if (!done)
-                break;
-            cached.push_back(*done);
-        }
-        if (cached.size() == ncores)
-            return cached;
-    }
-
-    auto outcomes = spec.tryRunAll();
-    std::vector<RunResult> results;
-    results.reserve(outcomes.size());
-    bool ok = true;
-    for (auto &o : outcomes) {
-        ok = ok && o.ok();
-        results.push_back(std::move(o.result));
-    }
-    if (!ok)
+    std::vector<RunResult> results = runCell(spec, opt.journal.get());
+    if (results.front().failed())
         opt.failures->fetch_add(1, std::memory_order_relaxed);
-    else if (!keys.empty())
-        for (std::size_t i = 0; i < results.size(); ++i)
-            opt.journal->record(keys[i], results[i]);
     return results;
 }
 
@@ -201,29 +167,7 @@ campaignCellAll(const BenchOptions &opt, const ExperimentSpec &spec)
 inline RunResult
 campaignCell(const BenchOptions &opt, const ExperimentSpec &spec)
 {
-    if (opt.journal) {
-        MachineConfig m = spec.machineConfig();
-        m.numCores = static_cast<unsigned>(
-            spec.workloads().empty() ? 1 : spec.workloads().size());
-        const std::string key =
-            journalKey(m.fingerprint(), spec.experimentParams(),
-                       spec.workloads().empty()
-                           ? std::string("?")
-                           : spec.workloads().front().name,
-                       spec.contention());
-        if (const RunResult *done = opt.journal->find(key))
-            return *done;
-        RunOutcome o = spec.tryRun();
-        if (o.ok())
-            opt.journal->record(key, o.result);
-        else
-            opt.failures->fetch_add(1, std::memory_order_relaxed);
-        return std::move(o.result);
-    }
-    RunOutcome o = spec.tryRun();
-    if (!o.ok())
-        opt.failures->fetch_add(1, std::memory_order_relaxed);
-    return std::move(o.result);
+    return std::move(campaignCellAll(opt, spec).front());
 }
 
 /**

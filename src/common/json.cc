@@ -1,9 +1,12 @@
 #include "json.hh"
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace pinte
@@ -69,6 +72,8 @@ JsonWriter::comma()
 void
 JsonWriter::newlineIndent()
 {
+    if (indent_ < 0)
+        return;
     os_ << "\n";
     for (int i = 0; i < depth_ * indent_; ++i)
         os_ << ' ';
@@ -186,6 +191,14 @@ JsonValue::asU64() const
 {
     if (type != Type::Number)
         fatal("json: expected a number");
+    if (exactU64)
+        return *exactU64;
+    // 2^64 is the first double past the range; a NaN fails every test.
+    if (!(number >= 0.0 && number < 0x1p64 &&
+          number == std::floor(number)))
+        throw ConfigError("json: not an unsigned 64-bit integer: " +
+                              jsonNumber(number),
+                          {"json", "", jsonNumber(number)});
     return static_cast<std::uint64_t>(number);
 }
 
@@ -406,7 +419,17 @@ class Parser
             return fail("expected a value");
         out.type = JsonValue::Type::Number;
         out.number = v;
-        pos_ += static_cast<std::size_t>(end - start);
+        // Doubles hold integers exactly only up to 2^53: keep the
+        // exact value of plain unsigned integer text alongside.
+        const std::size_t len = static_cast<std::size_t>(end - start);
+        if (std::all_of(start, start + len,
+                        [](char c) { return c >= '0' && c <= '9'; })) {
+            errno = 0;
+            const unsigned long long u = std::strtoull(start, nullptr, 10);
+            if (errno != ERANGE)
+                out.exactU64 = u;
+        }
+        pos_ += len;
         return true;
     }
 

@@ -13,6 +13,7 @@
 #define PINTE_COMMON_JSON_HH
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -31,6 +32,8 @@ std::string jsonQuote(const std::string &s);
  * Streaming JSON writer with automatic commas and indentation.
  * Usage: beginObject()/key()/value()/endObject(); nesting is checked
  * only by the emitted text being well-formed, not by assertions.
+ * A negative indent writes the whole document on one line (JSONL
+ * entries, spool records, the spool campaign document).
  */
 class JsonWriter
 {
@@ -91,6 +94,10 @@ struct JsonValue
     Type type = Type::Null;
     bool boolean = false;
     double number = 0.0;
+    /** Set when the number's text is a plain unsigned integer that
+     *  fits 64 bits: its exact value (`number` holds the nearest
+     *  double). */
+    std::optional<std::uint64_t> exactU64;
     std::string string;
     std::vector<JsonValue> array;
     std::vector<std::pair<std::string, JsonValue>> object;
@@ -107,6 +114,14 @@ struct JsonValue
     const JsonValue &at(const std::string &key) const;
 
     double asDouble() const;
+
+    /**
+     * The number as an unsigned 64-bit integer, exact for any integer
+     * text up to 2^64-1. A number in other notation ("1e3", "5.0")
+     * converts when its value is integral and in range.
+     * @throws ConfigError on a negative, fractional or out-of-range
+     *         value
+     */
     std::uint64_t asU64() const;
     const std::string &asString() const;
 };

@@ -46,16 +46,10 @@ runToFlatJson(const RunResult &r)
 {
     std::ostringstream os;
     {
-        JsonWriter w(os, 0);
+        JsonWriter w(os, -1);
         writeRunJson(w, r);
     }
-    const std::string text = os.str();
-    std::string flat;
-    flat.reserve(text.size());
-    for (const char c : text)
-        if (c != '\n')
-            flat += c;
-    return flat;
+    return os.str();
 }
 
 std::uint64_t
@@ -138,8 +132,8 @@ std::vector<RunResult>
 runSpoolBroker(const std::string &campaignJson,
                const std::string &fingerprint,
                const std::vector<std::string> &cellKeys,
-               const BrokerOptions &opt, const ProcLabelFn &label,
-               const ProcResultFn &onResult, const BrokerLookupFn &lookup)
+               const BrokerOptions &opt, const ProcResultFn &onResult,
+               const BrokerLookupFn &lookup)
 {
     const std::size_t n = cellKeys.size();
     std::vector<RunResult> results(n);
@@ -327,8 +321,6 @@ runSpoolBroker(const std::string &campaignJson,
             if (cell >= n || resolved[cell])
                 continue;
             RunResult q;
-            if (label)
-                label(cell, q);
             RunError &e = q.error;
             e.kind = "worker";
             e.component = "broker";

@@ -109,8 +109,7 @@ using BrokerLookupFn =
 std::vector<RunResult> runSpoolBroker(
     const std::string &campaignJson, const std::string &fingerprint,
     const std::vector<std::string> &cellKeys, const BrokerOptions &opt,
-    const ProcLabelFn &label = {}, const ProcResultFn &onResult = {},
-    const BrokerLookupFn &lookup = {});
+    const ProcResultFn &onResult = {}, const BrokerLookupFn &lookup = {});
 
 /** Knobs of a spool worker. */
 struct SpoolWorkerOptions

@@ -50,7 +50,8 @@ const char *toString(SampleMode m);
 SampleMode parseSampleMode(const std::string &text);
 
 /**
- * How a campaign executes its cells (pintesim --isolation).
+ * How a campaign executes its cells (pintesim --isolation;
+ * runCampaign, sim/campaign.hh).
  *
  * Thread (the default) runs cells on the in-process Runner pool:
  * cheapest, with cooperative fault isolation — a cell that *throws*
@@ -426,23 +427,6 @@ class ExperimentSpec
     /** Set warmup/ROI/sampling scale parameters. */
     ExperimentSpec &params(const ExperimentParams &p);
 
-    /**
-     * Campaign execution backend preference (--isolation). Advisory:
-     * run()/tryRun() semantics are identical either way — the mode
-     * tells the campaign driver whether cells should execute on the
-     * in-process Runner pool or in forked worker processes
-     * (runProcessCampaign, sim/worker_proc.hh).
-     */
-    ExperimentSpec &
-    isolation(IsolationMode m)
-    {
-        isolation_ = m;
-        return *this;
-    }
-
-    /** The configured campaign execution backend. */
-    IsolationMode isolationMode() const { return isolation_; }
-
     /** Execute and return core 0's result (the workload under study). */
     RunResult run() const;
 
@@ -499,7 +483,6 @@ class ExperimentSpec
     MachineConfig machine_;
     std::vector<WorkloadSpec> workloads_;
     ExperimentParams params_;
-    IsolationMode isolation_ = IsolationMode::Thread;
     double pInduce_ = 0.0;
     PInteScope scope_ = PInteScope::LlcOnly;
     double dramFactor_ = 0.0;

@@ -24,48 +24,41 @@ journalLine(const std::string &key, const RunResult &r)
 {
     std::ostringstream line;
     {
-        JsonWriter w(line, 0);
+        JsonWriter w(line, -1); // JSONL: one entry per physical line
         w.beginObject();
         w.member("key", key);
         w.key("run");
         writeRunJson(w, r);
         w.endObject();
     }
-    const std::string text = line.str();
-    // JSONL: one entry per physical line, so strip the writer's
-    // layout newlines before appending the terminator.
-    std::string flat;
-    flat.reserve(text.size());
-    for (const char c : text)
-        if (c != '\n')
-            flat += c;
-    flat += '\n';
-    return flat;
+    return line.str() + '\n';
 }
 
 } // namespace
 
 std::string
-journalKey(const std::string &fingerprint,
-           const ExperimentParams &params, const std::string &workload,
-           const std::string &contention)
+cellKey(const ExperimentSpec &cell, std::size_t core)
 {
-    std::string key = fingerprint + "|w" +
-                      std::to_string(params.warmup) + "|r" +
-                      std::to_string(params.roi) + "|s" +
-                      std::to_string(params.sampleEvery) + "|seed" +
-                      std::to_string(params.runSeed);
+    const auto &w = cell.workloads();
+    MachineConfig m = cell.machineConfig();
+    m.numCores = static_cast<unsigned>(w.empty() ? 1 : w.size());
+    const ExperimentParams &p = cell.experimentParams();
+    std::string key = m.fingerprint() + "|w" + std::to_string(p.warmup) +
+                      "|r" + std::to_string(p.roi) + "|s" +
+                      std::to_string(p.sampleEvery) + "|seed" +
+                      std::to_string(p.runSeed);
     // Sampled and detailed runs of the same workload must never serve
     // each other's journal entries: the sampling parameters are part of
     // the run's identity. Appended only when sampling is on so every
     // pre-existing journal (all detailed) keeps resolving.
-    if (params.sampling.enabled()) {
-        key += std::string("|sm") + toString(params.sampling.mode) +
-               "|il" + std::to_string(params.sampling.intervalLength) +
-               "|df" + std::to_string(params.sampling.detailedFraction) +
-               "|ss" + std::to_string(params.sampling.seed);
+    if (p.sampling.enabled()) {
+        key += std::string("|sm") + toString(p.sampling.mode) + "|il" +
+               std::to_string(p.sampling.intervalLength) + "|df" +
+               std::to_string(p.sampling.detailedFraction) + "|ss" +
+               std::to_string(p.sampling.seed);
     }
-    return key + "|" + workload + "|" + contention;
+    return key + "|" + (w.empty() ? std::string("?") : w[core].name) +
+           "|" + cell.contention(core);
 }
 
 RunJournal::RunJournal(const std::string &path) : path_(path)

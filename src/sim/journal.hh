@@ -41,14 +41,14 @@ namespace pinte
 {
 
 /**
- * The identity one journal entry is filed under: configuration
- * fingerprint + scale parameters + the run's workload/contention
- * labels.
+ * The identity core `core` of `cell` is filed under, in the journal
+ * and in a spool: machine fingerprint (with the core count the cell
+ * runs on) + scale parameters + that core's workload and contention
+ * labels. The only derivation of a campaign key — every campaign path
+ * (sim/campaign.hh) and the spool worker's config-skew check go
+ * through it, so a key can never drift between them.
  */
-std::string journalKey(const std::string &fingerprint,
-                       const ExperimentParams &params,
-                       const std::string &workload,
-                       const std::string &contention);
+std::string cellKey(const ExperimentSpec &cell, std::size_t core = 0);
 
 /**
  * Append-only journal of completed runs, loaded on construction.

@@ -320,8 +320,7 @@ retryBackoffSeconds(double base, std::uint32_t attempt,
 
 std::vector<RunResult>
 runProcessCampaign(std::size_t n, const ProcJobFn &fn,
-                   const ProcOptions &opt, const ProcLabelFn &label,
-                   const ProcResultFn &onResult)
+                   const ProcOptions &opt, const ProcResultFn &onResult)
 {
     std::vector<RunResult> results(n);
     if (n == 0)
@@ -367,8 +366,6 @@ runProcessCampaign(std::size_t n, const ProcJobFn &fn,
     const auto quarantineCell = [&](std::size_t job, const Slot &s,
                                     const Death &d) {
         RunResult q;
-        if (label)
-            label(job, q);
         RunError &e = q.error;
         e.kind = s.timedOut ? "timeout" : "worker";
         e.component = "worker_proc";
@@ -489,9 +486,6 @@ runProcessCampaign(std::size_t n, const ProcJobFn &fn,
                         // In-simulation failures arrive as valid
                         // failed results; they are deterministic and
                         // final (no retry), exactly like thread mode.
-                        // Label them if the worker could not.
-                        if (r.failed() && r.workload.empty() && label)
-                            label(s.job, r);
                         const std::size_t job = s.job;
                         s.busy = false;
                         s.terming = false;

@@ -91,11 +91,6 @@ struct ProcOptions
  *  captured into a failed result and shipped back normally. */
 using ProcJobFn = std::function<RunResult(std::size_t)>;
 
-/** Fills workload/contention labels of cell `i` on a result the
- *  parent fabricates (a quarantined worker loss), keeping the cell
- *  addressable in reports without executing it. */
-using ProcLabelFn = std::function<void(std::size_t, RunResult &)>;
-
 /** Merge-on-arrival hook: called in the parent as each cell resolves
  *  (healthy or quarantined), before the campaign completes. */
 using ProcResultFn =
@@ -121,13 +116,14 @@ double retryBackoffSeconds(double base, std::uint32_t attempt,
 /**
  * Run cells [0, n) across forked worker processes and return their
  * results in submission order. Never throws on worker death — losses
- * become quarantined cells; throws SimError only on parent-side
- * resource failures (pipe/fork exhaustion), after killing workers.
+ * become quarantined cells, without workload/contention labels (the
+ * campaign driver, sim/campaign.hh, knows them); throws SimError only
+ * on parent-side resource failures (pipe/fork exhaustion), after
+ * killing workers.
  */
 std::vector<RunResult> runProcessCampaign(std::size_t n,
                                           const ProcJobFn &fn,
                                           const ProcOptions &opt,
-                                          const ProcLabelFn &label = {},
                                           const ProcResultFn &onResult = {});
 
 } // namespace pinte

@@ -506,24 +506,28 @@ TEST(JournalKey, SamplingParamsArePartOfTheIdentity)
     // to share a journal key, so a resumed campaign could serve a
     // detailed result where a sampled one was requested (or vice
     // versa).
+    const MachineConfig m = MachineConfig::scaled();
+    const WorkloadSpec w = findWorkload("450.soplex");
+    auto keyOf = [&](const ExperimentParams &p) {
+        return cellKey(ExperimentSpec(m).workload(w).params(p));
+    };
     ExperimentParams detailed;
     ExperimentParams sampled = detailed;
     sampled.sampling.mode = SampleMode::Periodic;
-    EXPECT_NE(journalKey("fp", detailed, "w", "c"),
-              journalKey("fp", sampled, "w", "c"));
+    EXPECT_NE(keyOf(detailed), keyOf(sampled));
 
     ExperimentParams other = sampled;
     other.sampling.detailedFraction = 0.5;
-    EXPECT_NE(journalKey("fp", sampled, "w", "c"),
-              journalKey("fp", other, "w", "c"));
+    EXPECT_NE(keyOf(sampled), keyOf(other));
 
     // Sampling-off keys keep the historical format, so journals
     // recorded before the interval engine still resolve.
-    EXPECT_EQ(journalKey("fp", detailed, "w", "c"),
-              "fp|w" + std::to_string(detailed.warmup) + "|r" +
-                  std::to_string(detailed.roi) + "|s" +
+    EXPECT_EQ(keyOf(detailed),
+              m.fingerprint() + "|w" + std::to_string(detailed.warmup) +
+                  "|r" + std::to_string(detailed.roi) + "|s" +
                   std::to_string(detailed.sampleEvery) + "|seed" +
-                  std::to_string(detailed.runSeed) + "|w|c");
+                  std::to_string(detailed.runSeed) + "|" + w.name +
+                  "|isolation");
 }
 
 TEST(Journal, CompactionRewritesDeadWeight)

@@ -393,15 +393,6 @@ TEST(Quarantine, RunnerAggregatesEveryUnquarantinedFailure)
     }
 }
 
-std::string
-keyFor(const ExperimentSpec &spec)
-{
-    return journalKey(spec.machineConfig().fingerprint(),
-                      spec.experimentParams(),
-                      spec.workloads().front().name,
-                      spec.contention());
-}
-
 TEST(Journal, InterruptedThenResumedMatchesUninterrupted)
 {
     const std::string path = tempPath("resume.jsonl");
@@ -419,7 +410,7 @@ TEST(Journal, InterruptedThenResumedMatchesUninterrupted)
     {
         RunJournal journal(path);
         for (std::size_t i = 0; i < 3; ++i)
-            journal.record(keyFor(specs[i]), baseline[i]);
+            journal.record(cellKey(specs[i]), baseline[i]);
         EXPECT_EQ(journal.size(), 3u);
     }
 
@@ -430,7 +421,7 @@ TEST(Journal, InterruptedThenResumedMatchesUninterrupted)
     EXPECT_EQ(journal.size(), 3u);
     std::size_t served = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const std::string key = keyFor(specs[i]);
+        const std::string key = cellKey(specs[i]);
         RunResult r;
         if (const RunResult *hit = journal.find(key)) {
             r = *hit;
@@ -456,7 +447,7 @@ TEST(Journal, TornTrailingLineIsSkippedNotFatal)
     ASSERT_FALSE(r.failed());
     {
         RunJournal journal(path);
-        journal.record(keyFor(spec), r);
+        journal.record(cellKey(spec), r);
     }
     {
         // A SIGKILL mid-append leaves a torn final line.
@@ -465,7 +456,7 @@ TEST(Journal, TornTrailingLineIsSkippedNotFatal)
     }
     RunJournal journal(path);
     EXPECT_EQ(journal.size(), 1u);
-    const RunResult *hit = journal.find(keyFor(spec));
+    const RunResult *hit = journal.find(cellKey(spec));
     ASSERT_NE(hit, nullptr);
     expectSameSimulation(*hit, r);
     std::remove(path.c_str());
@@ -483,7 +474,7 @@ TEST(Journal, TornTailIsTruncatedBeforeAppend)
     ASSERT_FALSE(second.failed());
     {
         RunJournal journal(path);
-        journal.record(keyFor(specs[0]), first);
+        journal.record(cellKey(specs[0]), first);
     }
     {
         // A SIGKILL mid-append leaves a torn, newline-less tail.
@@ -497,12 +488,12 @@ TEST(Journal, TornTailIsTruncatedBeforeAppend)
         // record is silently lost on the following reload.
         RunJournal journal(path);
         EXPECT_EQ(journal.size(), 1u);
-        journal.record(keyFor(specs[1]), second);
+        journal.record(cellKey(specs[1]), second);
     }
     RunJournal journal(path);
     EXPECT_EQ(journal.size(), 2u);
-    const RunResult *hit0 = journal.find(keyFor(specs[0]));
-    const RunResult *hit1 = journal.find(keyFor(specs[1]));
+    const RunResult *hit0 = journal.find(cellKey(specs[0]));
+    const RunResult *hit1 = journal.find(cellKey(specs[1]));
     ASSERT_NE(hit0, nullptr);
     ASSERT_NE(hit1, nullptr);
     expectSameSimulation(*hit0, first);

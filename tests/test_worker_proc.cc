@@ -285,15 +285,6 @@ syntheticResult(std::size_t i)
     return r;
 }
 
-ProcLabelFn
-syntheticLabel()
-{
-    return [](std::size_t i, RunResult &r) {
-        r.workload = "synthetic.cell";
-        r.contention = "cell@" + std::to_string(i);
-    };
-}
-
 TEST(WorkerProc, ZeroCellsIsEmpty)
 {
     ProcOptions opt;
@@ -309,7 +300,6 @@ TEST(WorkerProc, ResultsArriveInSubmissionOrder)
     std::vector<int> merged(8, 0);
     const auto results = runProcessCampaign(
         8, [](std::size_t i) { return syntheticResult(i); }, opt,
-        syntheticLabel(),
         [&](std::size_t i, const RunResult &r) {
             merged[i]++;
             EXPECT_FALSE(r.failed());
@@ -345,7 +335,7 @@ TEST(WorkerProc, InChildCleanFailureIsFinalNotRetried)
             r.error.message = "truncated trace";
             return r;
         },
-        opt, syntheticLabel());
+        opt);
     ASSERT_EQ(results.size(), 4u);
     EXPECT_TRUE(results[2].failed());
     EXPECT_EQ(results[2].error.kind, "trace");
@@ -364,8 +354,7 @@ TEST(WorkerProc, CrashIsQuarantinedWithSignalAndAttemptLog)
     opt.maxRetries = 2;
     opt.backoffBase = 0.01;
     const auto results = runProcessCampaign(
-        4, [](std::size_t i) { return syntheticResult(i); }, opt,
-        syntheticLabel());
+        4, [](std::size_t i) { return syntheticResult(i); }, opt);
     ASSERT_EQ(results.size(), 4u);
 
     const RunResult &lost = results[1];
@@ -379,8 +368,9 @@ TEST(WorkerProc, CrashIsQuarantinedWithSignalAndAttemptLog)
               std::string::npos);
     EXPECT_NE(lost.error.attemptLog[1].find("attempt 2"),
               std::string::npos);
-    // The quarantined cell still carries its campaign identity.
-    EXPECT_EQ(lost.contention, "cell@1");
+    // Labels are the campaign driver's (sim/campaign.hh): a lost cell
+    // comes back unlabeled from the backend itself.
+    EXPECT_TRUE(lost.workload.empty());
 
     // The crash was contained: every other cell completed.
     for (const std::size_t i : {0u, 2u, 3u})
@@ -394,8 +384,7 @@ TEST(WorkerProc, GarbageFrameIsDiscardedNotTrusted)
     opt.workers = 2;
     opt.maxRetries = 1;
     const auto results = runProcessCampaign(
-        3, [](std::size_t i) { return syntheticResult(i); }, opt,
-        syntheticLabel());
+        3, [](std::size_t i) { return syntheticResult(i); }, opt);
     ASSERT_EQ(results.size(), 3u);
     ASSERT_TRUE(results[0].failed());
     EXPECT_EQ(results[0].error.kind, "worker");
@@ -422,7 +411,7 @@ TEST(WorkerProc, TimeoutEscalationStartsWithSigterm)
             std::this_thread::sleep_for(std::chrono::seconds(30));
             return RunResult();
         },
-        opt, syntheticLabel());
+        opt);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].failed());
     EXPECT_EQ(results[0].error.kind, "timeout");
@@ -444,8 +433,7 @@ TEST(WorkerProc, NonCooperativeHangNeedsSigkill)
     opt.jobTimeout = 0.4;
     opt.killGrace = 0.3;
     const auto results = runProcessCampaign(
-        1, [](std::size_t i) { return syntheticResult(i); }, opt,
-        syntheticLabel());
+        1, [](std::size_t i) { return syntheticResult(i); }, opt);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].failed());
     EXPECT_EQ(results[0].error.kind, "timeout");
@@ -467,8 +455,7 @@ TEST(WorkerProc, TornFrameThenWedgeIsKilledByDeadlineNotDeadlock)
     opt.jobTimeout = 0.4;
     opt.killGrace = 0.3;
     const auto results = runProcessCampaign(
-        1, [](std::size_t i) { return syntheticResult(i); }, opt,
-        syntheticLabel());
+        1, [](std::size_t i) { return syntheticResult(i); }, opt);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].failed());
     EXPECT_EQ(results[0].error.kind, "timeout");
@@ -494,7 +481,7 @@ TEST(WorkerProc, HeartbeatsKeepSlowJobsAlive)
             }
             return syntheticResult(i);
         },
-        opt, syntheticLabel());
+        opt);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].failed())
         << results[0].error.message;

@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Validate a pinte-report JSON document (schema versions 1-6).
+"""Validate a pinte-report JSON document (schema version 6).
 
 Usage:
     check_report.py [report.json]        # file, or stdin when omitted
     pintesim --report --format=json | check_report.py
 
-Version 2 adds a per-run "status" field ("ok" | "failed"), an "error"
-object on failed runs (which then carry no metrics/samples), and a
-top-level "failures" summary. Non-finite numbers (NaN, Infinity) are
+The schema is frozen at version 6; documents of earlier versions are
+rejected. Each run carries a "status" field ("ok" | "failed"); failed
+runs carry an "error" object (and no metrics/samples) and the document
+a top-level "failures" summary. Non-finite numbers (NaN, Infinity) are
 rejected everywhere: the emitter writes only finite doubles, and a
 NaN that sneaks into a report poisons every downstream reduction.
 
-Version 3 adds the observability payloads, all optional (omitted when
-empty, so a sampling-off v3 document carries exactly the v2 fields):
-a per-run "timeseries" object of per-interval counter deltas, a
-per-run "histograms" array of log2-bucketed histograms, and a config
+The observability payloads are optional (omitted when empty): a
+per-run "timeseries" object of per-interval counter deltas, a per-run
+"histograms" array of log2-bucketed histograms, and a config
 "sample_interval" field. On these the checker enforces the interval
 invariants: cycle stamps strictly increase, every delta row matches
 the path list, each histogram's bucket counts sum to its total, and
@@ -22,37 +22,30 @@ the LLC access/miss delta columns sum exactly to the end-of-run
 counters the metrics section republishes (the sampler's conservation
 identity).
 
-Version 4 adds the interval-engine payloads, again optional so a
-sampling-off v4 document carries exactly the v3 fields: a config
-"sampling" object (mode / interval_length / detailed_fraction / seed)
-and a per-run "sampled" object of per-metric mean and 95% CI
-half-width estimates over the detailed intervals. The checker
-enforces that the two appear together — every ok run of a document
-whose config declares sampling must carry "sampled", and no run of a
-detailed-only document may — plus the schedule identities
-(detailed_intervals <= intervals, detailed_instructions <=
-total_instructions, non-negative CI half-widths).
+The interval-engine payloads are optional too: a config "sampling"
+object (mode / interval_length / detailed_fraction / seed) and a
+per-run "sampled" object of per-metric mean and 95% CI half-width
+estimates over the detailed intervals. The checker enforces that the
+two appear together — every ok run of a document whose config
+declares sampling must carry "sampled", and no run of a detailed-only
+document may — plus the schedule identities (detailed_intervals <=
+intervals, detailed_instructions <= total_instructions, non-negative
+CI half-widths).
 
-Version 5 adds the process-isolation loss record on failed runs,
-optional and appearing as a unit (all four fields or none, only on
-cells lost at the worker level under --isolation=process): "signal"
-(terminating signal of the last attempt, 0 when the worker exited
-instead), "exit_code", "attempts" (attempts consumed before
-quarantine, >= 1), and "attempt_log" (one line per attempt, so its
-length must equal "attempts"). In-process failures keep the exact v2
-error shape, so a thread-mode v5 document carries exactly the v4
-fields.
+A failed run's error may carry the process-isolation loss record, as
+a unit (all four fields or none, only on cells lost at the worker
+level under --isolation=process or spool): "signal" (terminating
+signal of the last attempt, 0 when the worker exited instead),
+"exit_code", "attempts" (attempts consumed before quarantine, >= 1),
+and "attempt_log" (one line per attempt, so its length must equal
+"attempts"). It may further carry the spool-loss provenance, as a
+pair: "shard" (the non-empty shard id a spool campaign quarantined the
+cell with) and "fencing_token" (the token the shard held when its
+retry budget ran out, >= 1). The pair appears only on cells lost at
+the broker level under --isolation=spool, which are worker-level
+losses too, so a run carrying it must also carry the loss record.
 
-Version 6 adds the spool-loss provenance on failed runs, again
-optional and appearing as a pair: "shard" (the non-empty shard id a
-spool campaign quarantined the cell with) and "fencing_token" (the
-token the shard held when its retry budget ran out, >= 1). The pair
-appears only on cells lost at the broker level under
---isolation=spool, which are worker-level losses too, so a run
-carrying it must also carry the full v5 loss record. Every other
-document is field-identical to v5 output.
-
-On v2+ documents the conservation identities the simulator maintains
+On every ok run the conservation identities the simulator maintains
 are also enforced on every ok run: miss_rate equals
 llc_misses/llc_accesses, counters and rate metrics stay within their
 ranges, and the PInTE induction counters nest (triggers never exceed
@@ -69,7 +62,7 @@ import math
 import sys
 
 SCHEMA = "pinte-report"
-SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6)
+SCHEMA_VERSION = 6
 
 SAMPLING_CONFIG_FIELDS = {
     "mode": str,
@@ -149,7 +142,7 @@ ERROR_FIELDS = {
     "message": str,
 }
 
-# v5 process-isolation loss record, optional on a failed run's error
+# Process-isolation loss record, optional on a failed run's error
 # object; the four fields appear together (keyed on "attempts").
 LOSS_FIELDS = {
     "signal": int,
@@ -158,9 +151,9 @@ LOSS_FIELDS = {
     "attempt_log": list,
 }
 
-# v6 spool-loss provenance, optional on a failed run's error object;
-# the pair appears together (keyed on "shard") and only alongside the
-# v5 loss record — a broker-level loss is a worker-level loss too.
+# Spool-loss provenance, optional on a failed run's error object; the
+# pair appears together (keyed on "shard") and only alongside the loss
+# record — a broker-level loss is a worker-level loss too.
 SPOOL_FIELDS = {
     "shard": str,
     "fencing_token": int,
@@ -196,7 +189,6 @@ def reject_constant(token):
 class Checker:
     def __init__(self):
         self.errors = []
-        self.version = SCHEMA_VERSIONS[-1]
 
     def error(self, path, message):
         self.errors.append(f"{path}: {message}")
@@ -235,18 +227,14 @@ class Checker:
     def check_failed_run(self, run, path):
         error = run.get("error")
         fields = ERROR_FIELDS
-        # v5 process-isolation loss record: the four fields appear as
-        # a unit (keyed on "attempts") and only on worker-level losses.
-        has_loss = self.version >= 5 and isinstance(error, dict) and (
-            "attempts" in error
-        )
+        # Process-isolation loss record: the four fields appear as a
+        # unit (keyed on "attempts") and only on worker-level losses.
+        has_loss = isinstance(error, dict) and "attempts" in error
         if has_loss:
             fields = dict(ERROR_FIELDS, **LOSS_FIELDS)
-        # v6 spool-loss provenance: the pair appears as a unit (keyed
-        # on "shard") and rides only on a v5 loss record.
-        has_spool = self.version >= 6 and isinstance(error, dict) and (
-            "shard" in error
-        )
+        # Spool-loss provenance: the pair appears as a unit (keyed on
+        # "shard") and rides only on a loss record.
+        has_spool = isinstance(error, dict) and "shard" in error
         if has_spool:
             fields = dict(fields, **SPOOL_FIELDS)
         self.check_fields(error, fields, f"{path}.error")
@@ -283,7 +271,7 @@ class Checker:
         if not has_loss:
             self.error(
                 f"{path}.shard",
-                "spool-loss provenance without the v5 loss record "
+                "spool-loss provenance without the loss record "
                 "(a broker-level loss always consumes attempts)",
             )
         shard = error.get("shard")
@@ -304,17 +292,14 @@ class Checker:
             if not isinstance(run.get(name), str):
                 self.error(f"{path}.{name}", "expected string")
         status = run.get("status")
-        if self.version >= 2:
-            if status not in ("ok", "failed"):
-                self.error(
-                    f"{path}.status",
-                    f"expected 'ok' or 'failed', got {status!r}",
-                )
-            if status == "failed":
-                self.check_failed_run(run, path)
-                return
-        elif "status" in run:
-            self.error(path, "unknown field 'status' (v1 document)")
+        if status not in ("ok", "failed"):
+            self.error(
+                f"{path}.status",
+                f"expected 'ok' or 'failed', got {status!r}",
+            )
+        if status == "failed":
+            self.check_failed_run(run, path)
+            return
         self.check_fields(
             run.get("metrics"), METRIC_FIELDS, f"{path}.metrics"
         )
@@ -351,31 +336,25 @@ class Checker:
             "reuse_histogram",
             "pinte",
             "cpu_seconds",
+            "status",
+            "timeseries",
+            "histograms",
+            "sampled",
         }
-        if self.version >= 2:
-            known.add("status")
-        if self.version >= 3:
-            known.update({"timeseries", "histograms"})
-            if "timeseries" in run:
-                self.check_timeseries(
-                    run["timeseries"], f"{path}.timeseries"
-                )
-            if "histograms" in run:
-                self.check_histograms(
-                    run["histograms"], f"{path}.histograms"
-                )
-        if self.version >= 4:
-            known.add("sampled")
-            if "sampled" in run:
-                self.check_sampled(run["sampled"], f"{path}.sampled")
+        if "timeseries" in run:
+            self.check_timeseries(run["timeseries"], f"{path}.timeseries")
+        if "histograms" in run:
+            self.check_histograms(run["histograms"], f"{path}.histograms")
+        if "sampled" in run:
+            self.check_sampled(run["sampled"], f"{path}.sampled")
         for name in run:
             if name not in known:
                 self.error(path, f"unknown field '{name}'")
-        if self.version >= 2 and len(self.errors) == shape_errors:
+        if len(self.errors) == shape_errors:
             self.check_conservation(run, path)
 
     def check_sampled(self, sd, path):
-        """v4 interval-engine section: mean ± CI estimates."""
+        """Interval-engine section: mean ± CI estimates."""
         shape_errors = len(self.errors)
         self.check_fields(sd, SAMPLED_FIELDS, path)
         if not isinstance(sd, dict):
@@ -425,7 +404,7 @@ class Checker:
             )
 
     def check_timeseries(self, ts, path):
-        """v3 time-series section: per-interval counter deltas."""
+        """Time-series section: per-interval counter deltas."""
         if not isinstance(ts, dict):
             self.error(path, "expected object")
             return
@@ -493,7 +472,7 @@ class Checker:
                 self.error(path, f"unknown field '{name}'")
 
     def check_histograms(self, histograms, path):
-        """v3 histogram section: log2-bucketed counts sum to total."""
+        """Histogram section: log2-bucketed counts sum to total."""
         if not isinstance(histograms, list):
             self.error(path, "expected array")
             return
@@ -530,7 +509,7 @@ class Checker:
                     self.error(hpath, f"unknown field '{name}'")
 
     def check_conservation(self, run, path):
-        """Cross-field identities on an ok run (v2 documents).
+        """Cross-field identities on an ok run.
 
         Only runs when the field-level checks produced no errors for
         this run, so every value below has the right type already.
@@ -591,14 +570,14 @@ class Checker:
                         f"{path}.samples[{i}].{name}",
                         f"negative ({sample[name]})",
                     )
-        # v3 time-series conservation: the sampler snapshots its
+        # Time-series conservation: the sampler snapshots its
         # baseline when measurement starts and finish() closes the
         # trailing partial interval, so a counter's column of deltas
         # sums to its end-of-run value exactly. The metrics section
         # republishes two of the sampled counters (a time series rides
         # on core 0's run only, whose metrics read the same registry
         # entries), which lets the identity be checked offline.
-        if self.version >= 3 and "timeseries" in run:
+        if "timeseries" in run:
             ts = run["timeseries"]
             for ts_path, metric in (
                 ("llc.core0.accesses", "llc_accesses"),
@@ -691,31 +670,21 @@ class Checker:
             self.error("$.schema", f"expected {SCHEMA!r}, got "
                        f"{doc.get('schema')!r}")
         version = doc.get("schema_version")
-        if version not in SCHEMA_VERSIONS:
+        if version != SCHEMA_VERSION:
             self.error(
                 "$.schema_version",
-                f"expected one of {SCHEMA_VERSIONS}, got {version!r}",
+                f"expected {SCHEMA_VERSION}, got {version!r}",
             )
-        else:
-            self.version = version
         if not isinstance(doc.get("tool"), str) or not doc.get("tool"):
             self.error("$.tool", "expected non-empty string")
         config_fields = dict(CONFIG_FIELDS)
         config = doc.get("config")
-        if (
-            self.version >= 3
-            and isinstance(config, dict)
-            and "sample_interval" in config
-        ):
-            # Optional in v3: emitted only when sampling was armed.
+        if isinstance(config, dict) and "sample_interval" in config:
+            # Optional: emitted only when sampling was armed.
             config_fields["sample_interval"] = int
-        sampling_on = (
-            self.version >= 4
-            and isinstance(config, dict)
-            and "sampling" in config
-        )
+        sampling_on = isinstance(config, dict) and "sampling" in config
         if sampling_on:
-            # Optional in v4: emitted only for interval-engine runs.
+            # Optional: emitted only for interval-engine runs.
             config_fields["sampling"] = dict
         self.check_fields(config, config_fields, "$.config")
         if isinstance(config, dict):
@@ -755,28 +724,26 @@ class Checker:
         else:
             for i, run in enumerate(runs):
                 self.check_run(run, f"$.runs[{i}]")
-            # The v4 payload and the config that produced it appear
-            # together: a sampled schedule yields estimates on every
-            # ok run, a detailed-only document carries none.
-            if self.version >= 4:
-                for i, run in enumerate(runs):
-                    if not isinstance(run, dict):
-                        continue
-                    if run.get("status") == "failed":
-                        continue
-                    if sampling_on and "sampled" not in run:
-                        self.error(
-                            f"$.runs[{i}]",
-                            "config declares sampling but the run "
-                            "carries no 'sampled' estimates",
-                        )
-                    elif not sampling_on and "sampled" in run:
-                        self.error(
-                            f"$.runs[{i}].sampled",
-                            "present without a config sampling object",
-                        )
-        if self.version >= 2:
-            self.check_failures(doc)
+            # The sampled payload and the config that produced it
+            # appear together: a sampled schedule yields estimates on
+            # every ok run, a detailed-only document carries none.
+            for i, run in enumerate(runs):
+                if not isinstance(run, dict):
+                    continue
+                if run.get("status") == "failed":
+                    continue
+                if sampling_on and "sampled" not in run:
+                    self.error(
+                        f"$.runs[{i}]",
+                        "config declares sampling but the run "
+                        "carries no 'sampled' estimates",
+                    )
+                elif not sampling_on and "sampled" in run:
+                    self.error(
+                        f"$.runs[{i}].sampled",
+                        "present without a config sampling object",
+                    )
+        self.check_failures(doc)
         tables = doc.get("tables")
         if not isinstance(tables, list):
             self.error("$.tables", "expected array")
@@ -791,9 +758,8 @@ class Checker:
             "notes",
             "runs",
             "tables",
+            "failures",
         }
-        if self.version >= 2:
-            known.add("failures")
         for name in doc:
             if name not in known:
                 self.error("$", f"unknown field '{name}'")
@@ -828,7 +794,7 @@ def main(argv):
             sys.stderr.write(f"check_report: {source}: {error}\n")
         sys.stderr.write(
             f"check_report: {source}: {len(checker.errors)} violation(s) "
-            f"of pinte-report v{checker.version}\n"
+            f"of pinte-report v{SCHEMA_VERSION}\n"
         )
         return 1
     runs = doc.get("runs", [])
@@ -841,7 +807,7 @@ def main(argv):
     status = f", {failed} failed" if failed else ""
     print(
         f"check_report: {source}: valid pinte-report "
-        f"v{checker.version} ({len(runs)} runs{status}, "
+        f"v{SCHEMA_VERSION} ({len(runs)} runs{status}, "
         f"{tables} tables)"
     )
     return 0

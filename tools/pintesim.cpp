@@ -38,12 +38,12 @@
 #include "common/logging.hh"
 #include "common/trace_events.hh"
 #include "sim/broker.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "sim/hotpath_bench.hh"
 #include "sim/journal.hh"
 #include "sim/options.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "sim/sink.hh"
 #include "sim/watchdog.hh"
 #include "sim/worker_proc.hh"
@@ -161,7 +161,9 @@ namespace
  * round-trips through the spool's campaign document: the raw CLI
  * strings for enum-valued machine knobs (so the worker re-parses
  * exactly what the broker's user typed) plus the numeric scale
- * parameters. A spool worker rebuilds its machine, cell grid and
+ * parameters. pintesim keeps these flags here and nowhere else: every
+ * run mode builds its machine with sweepMachine() and its cells with
+ * sweepCell(). A spool worker rebuilds its machine, cell grid and
  * journal keys from this alone; the machine fingerprint and per-cell
  * key checks then prove the reconstruction is exact.
  */
@@ -195,13 +197,17 @@ sweepMachine(const SweepConfig &sc)
     return m;
 }
 
-/** One sweep cell: the spec for induction probability `p`. */
+/** One cell of the campaign `sc` describes on `machine`: induction
+ *  probability `p`, or the isolation baseline when `p` is empty. */
 ExperimentSpec
 sweepCell(const MachineConfig &machine, const WorkloadSpec &spec,
-          const SweepConfig &sc, double p)
+          const SweepConfig &sc, std::optional<double> p)
 {
     ExperimentSpec e(machine);
-    e.workload(spec).pinte(p).params(sc.params);
+    e.workload(spec).params(sc.params);
+    if (!p)
+        return e;
+    e.pinte(*p);
     if (!sc.scope.empty())
         e.scope(parsePInteScope(sc.scope));
     if (sc.dramFactor > 0.0)
@@ -209,12 +215,23 @@ sweepCell(const MachineConfig &machine, const WorkloadSpec &spec,
     return e;
 }
 
+/** The standard 12-point P sweep of `sc` on `machine`. */
+std::vector<ExperimentSpec>
+sweepCells(const MachineConfig &machine, const WorkloadSpec &spec,
+           const SweepConfig &sc)
+{
+    std::vector<ExperimentSpec> cells;
+    for (const double p : standardPInduceSweep())
+        cells.push_back(sweepCell(machine, spec, sc, p));
+    return cells;
+}
+
 std::string
 sweepConfigToJson(const SweepConfig &sc)
 {
     std::ostringstream os;
     {
-        JsonWriter w(os, 0);
+        JsonWriter w(os, -1); // one line: the campaign document's spec
         w.beginObject();
         w.member("workload", sc.workload);
         w.member("policy", sc.policy);
@@ -273,38 +290,6 @@ sweepConfigFromJson(const JsonValue &v)
     return sc;
 }
 
-/** Strip the newlines JsonWriter emits even at indent 0. */
-std::string
-flattenJson(const std::string &text)
-{
-    std::string flat;
-    flat.reserve(text.size());
-    for (const char c : text)
-        if (c != '\n')
-            flat += c;
-    return flat;
-}
-
-/** The spool campaign document: identity (fingerprint + the full
- *  cell-key list) plus the spec workers rebuild their grid from. */
-std::string
-campaignDocument(const std::string &fingerprint, const SweepConfig &sc,
-                 const std::vector<std::string> &keys)
-{
-    std::string doc = "{\"schema\": \"pinte.spool.campaign\", "
-                      "\"tool\": \"pintesim\", \"fingerprint\": " +
-                      jsonQuote(fingerprint) +
-                      ", \"spec\": " + flattenJson(sweepConfigToJson(sc)) +
-                      ", \"cells\": [";
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (k)
-            doc += ", ";
-        doc += jsonQuote(keys[k]);
-    }
-    doc += "]}";
-    return doc;
-}
-
 /**
  * Spool worker entry (`pintesim --worker --spool DIR`): rebuild the
  * campaign from the spool's document, verify this binary derives the
@@ -336,19 +321,17 @@ spoolWorkerMain(const std::string &spool_dir)
                 ", campaign carries " +
                 doc.at("fingerprint").asString(),
             {"pintesim", spool_dir, fp});
-    const WorkloadSpec spec = findWorkload(sc.workload);
-    const auto &points = standardPInduceSweep();
-    std::vector<std::string> keys(points.size());
-    for (std::size_t k = 0; k < points.size(); ++k)
-        keys[k] = journalKey(
-            fp, sc.params, spec.name,
-            sweepCell(machine, spec, sc, points[k]).contention());
-    const JsonValue &cells = doc.at("cells");
-    if (cells.array.size() != keys.size())
+    const std::vector<ExperimentSpec> cells =
+        sweepCells(machine, findWorkload(sc.workload), sc);
+    std::vector<std::string> keys;
+    for (const ExperimentSpec &cell : cells)
+        keys.push_back(cellKey(cell));
+    const JsonValue &docCells = doc.at("cells");
+    if (docCells.array.size() != keys.size())
         throw ConfigError("campaign cell count mismatch",
                           {"pintesim", spool_dir, ""});
     for (std::size_t k = 0; k < keys.size(); ++k)
-        if (cells.array[k].asString() != keys[k])
+        if (docCells.array[k].asString() != keys[k])
             throw ConfigError("campaign cell key mismatch at index " +
                                   std::to_string(k),
                               {"pintesim", spool_dir, keys[k]});
@@ -359,46 +342,35 @@ spoolWorkerMain(const std::string &spool_dir)
     wopt.fingerprint = fp;
     runSpoolWorker(
         spool_dir, keys,
-        [&](std::size_t k) {
-            return sweepCell(machine, spec, sc, points[k])
-                .tryRun()
-                .result;
-        },
-        wopt);
+        [&](std::size_t k) { return cells[k].tryRun().result; }, wopt);
     return 0;
 }
 
 int
 pinteMain(int argc, char **argv)
 {
-    std::string workload = "450.soplex";
+    // Workload, machine knobs and scale: everything a campaign cell's
+    // identity depends on, stored once.
+    SweepConfig sc;
     std::optional<double> pinduce;
     std::optional<std::string> pair;
     bool isolation = false, sweep = false;
     bool report = false;
-    bool scope_set = false;
     unsigned jobs = 0;
-    double job_timeout = 0.0;
     IsolationMode iso_mode = IsolationMode::Thread;
     std::uint32_t max_retries = 1;
     bool retries_set = false;
     bool worker_mode = false;
     std::string spool_dir;
     std::size_t shard_size = 1;
-    double lease_ttl = 30.0;
-    SweepConfig sweep_cfg; // raw machine-knob strings for the spool
-                           // campaign document (--isolation=spool)
     std::vector<ReplacementKind> grid_policies; // --policies grid
     std::string resume_path;
     bool bench_baseline = false;
     HotpathOptions bench_opt;
-    double dram_factor = 0.0;
-    PInteScope scope = PInteScope::LlcOnly;
     ReportFormat format = ReportFormat::Table;
     std::string out_path;
     std::string trace_path;
-    MachineConfig machine = MachineConfig::scaled();
-    ExperimentParams params;
+    ExperimentParams &params = sc.params;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -421,9 +393,16 @@ pinteMain(int argc, char **argv)
             if (inline_val)
                 fatal("option " + a + " takes no value");
         };
+        // A machine knob is kept as typed (the spool campaign document
+        // carries it so); building the machine rejects a bad value at
+        // its flag.
+        auto machineFlag = [&](std::string &knob) {
+            knob = need();
+            sweepMachine(sc);
+        };
 
         if (a == "-w" || a == "--workload") {
-            workload = need();
+            sc.workload = need();
         } else if (a == "-p" || a == "--pinduce") {
             pinduce = parseProbability(need());
         } else if (a == "--sweep") {
@@ -451,29 +430,22 @@ pinteMain(int argc, char **argv)
             shard_size =
                 static_cast<std::size_t>(parseCount(a, need()));
         } else if (a == "--lease-ttl") {
-            lease_ttl = static_cast<double>(parseTimeout(a, need()));
+            sc.leaseTtl = static_cast<double>(parseTimeout(a, need()));
         } else if (a == "--policy" || a == "--llc-policy") {
-            sweep_cfg.policy = need();
-            machine.llc.replacement = parseReplacement(sweep_cfg.policy);
+            machineFlag(sc.policy);
         } else if (a == "--policies") {
             grid_policies = parseReplacementList(need());
         } else if (a == "--inclusion") {
-            sweep_cfg.inclusion = need();
-            machine.llc.inclusion = parseInclusion(sweep_cfg.inclusion);
+            machineFlag(sc.inclusion);
         } else if (a == "--prefetch") {
-            sweep_cfg.prefetch = need();
-            machine.prefetch =
-                PrefetchConfig::parse(sweep_cfg.prefetch.c_str());
+            machineFlag(sc.prefetch);
         } else if (a == "--predictor") {
-            sweep_cfg.predictor = need();
-            machine.core.predictor =
-                parsePredictor(sweep_cfg.predictor);
+            machineFlag(sc.predictor);
         } else if (a == "--scope") {
-            sweep_cfg.scope = need();
-            scope = parsePInteScope(sweep_cfg.scope);
-            scope_set = true;
+            sc.scope = need();
+            parsePInteScope(sc.scope); // reject a bad value here
         } else if (a == "--dram-complement") {
-            dram_factor = parseReal(a, need());
+            sc.dramFactor = parseReal(a, need());
         } else if (a == "--warmup") {
             params.warmup = parseCount(a, need());
         } else if (a == "--roi") {
@@ -501,7 +473,7 @@ pinteMain(int argc, char **argv)
         } else if (a == "--jobs") {
             jobs = static_cast<unsigned>(parseCount(a, need()));
         } else if (a == "--job-timeout") {
-            job_timeout =
+            sc.jobTimeout =
                 static_cast<double>(parseTimeout(a, need()));
         } else if (a == "--paranoid") {
             // Value is optional: a bare --paranoid must not consume
@@ -631,7 +603,8 @@ pinteMain(int argc, char **argv)
     if (!params.checkpointPath.empty() && params.checkpointEvery == 0)
         params.checkpointEvery = std::max<InstCount>(1, params.roi / 10);
 
-    const WorkloadSpec spec = findWorkload(workload);
+    const WorkloadSpec spec = findWorkload(sc.workload);
+    const MachineConfig machine = sweepMachine(sc);
 
     // Arm event tracing for the rest of the process; the guard writes
     // the collected trace on every exit path (including exceptions
@@ -665,11 +638,12 @@ pinteMain(int argc, char **argv)
         m.numCores = 1;
         if (pinduce) {
             m.pinte.pInduce = *pinduce;
-            m.pinteScope = scope;
+            if (!sc.scope.empty())
+                m.pinteScope = parsePInteScope(sc.scope);
         }
-        if (dram_factor > 0.0 && pinduce)
+        if (sc.dramFactor > 0.0 && pinduce)
             m.dram.contentionExtra =
-                static_cast<Cycle>(*pinduce * dram_factor);
+                static_cast<Cycle>(*pinduce * sc.dramFactor);
         TraceGenerator gen(spec);
         System sys(m, {&gen});
         {
@@ -695,8 +669,8 @@ pinteMain(int argc, char **argv)
 
     // Single runs execute on this thread; arm the hang watchdog here
     // (sweep workers re-arm per job via the Runner).
-    if (job_timeout > 0.0)
-        JobWatchdog::arm(job_timeout);
+    if (sc.jobTimeout > 0.0)
+        JobWatchdog::arm(sc.jobTimeout);
 
     Report rep(format, out_path,
                {"pintesim", machine.fingerprint(), params});
@@ -715,274 +689,123 @@ pinteMain(int argc, char **argv)
     }
 
     if (isolation || (!pinduce && !sweep)) {
-        emit(ExperimentSpec(machine)
-                 .workload(spec)
-                 .params(params)
-                 .run());
+        emit(sweepCell(machine, spec, sc, std::nullopt).run());
+        rep.close();
+        return 0;
+    }
+    if (!sweep) {
+        emit(sweepCell(machine, spec, sc, *pinduce).run());
         rep.close();
         return 0;
     }
 
-    auto build = [&](double p) {
-        ExperimentSpec e(machine);
-        e.workload(spec).pinte(p).params(params);
-        // Unlike the old run* entry points, scope and the DRAM
-        // complement compose instead of the scope being silently
-        // dropped.
-        if (scope_set)
-            e.scope(scope);
-        if (dram_factor > 0.0)
-            e.dramComplement(dram_factor);
-        return e;
-    };
+    // The sweep's 12 configurations — or, with --policies, per policy
+    // an isolation baseline (cell 0) plus the sweep on that policy's
+    // machine — are independent, fault-isolated cells: a faulting
+    // cell becomes a quarantined "failed" row while every other cell
+    // completes. Per-policy machine fingerprints keep the grid's cell
+    // keys distinct in a shared journal.
+    std::vector<ExperimentSpec> cells;
+    if (grid_policies.empty())
+        cells = sweepCells(machine, spec, sc);
+    for (const ReplacementKind kind : grid_policies) {
+        MachineConfig m = machine;
+        m.llc.replacement = kind;
+        cells.push_back(sweepCell(m, spec, sc, std::nullopt));
+        for (ExperimentSpec &cell : sweepCells(m, spec, sc))
+            cells.push_back(std::move(cell));
+    }
 
-    if (sweep) {
-        // The sweep's 12 configurations are independent simulations;
-        // run them across the worker pool and emit in sweep order.
-        // Jobs are fault-isolated: a faulting point becomes a
-        // quarantined "failed" cell in the report while every other
-        // point completes.
-        std::unique_ptr<RunJournal> journal;
-        if (!resume_path.empty())
-            journal = std::make_unique<RunJournal>(resume_path);
+    std::unique_ptr<RunJournal> journal;
+    if (!resume_path.empty())
+        journal = std::make_unique<RunJournal>(resume_path);
+    ProcOptions popt;
+    popt.workers = jobs;
+    popt.jobTimeout = sc.jobTimeout;
+    popt.maxRetries = max_retries;
+    // Spool workers are `pintesim --worker` processes; exec them by
+    // our resolved path, since argv[0] may be a bare name found via
+    // PATH (the broker falls back to an execvp PATH search anyway).
+    BrokerOptions bopt;
+    bopt.spool = spool_dir;
+    bopt.workers =
+        jobs ? jobs : std::max(1u, std::thread::hardware_concurrency());
+    std::string self = argv[0];
+    {
+        char exe[4096];
+        const ::ssize_t len =
+            ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+        if (len > 0)
+            self.assign(exe, static_cast<std::size_t>(len));
+    }
+    bopt.workerArgv = {self, "--worker", "--spool", spool_dir};
+    bopt.leaseTtl = sc.leaseTtl;
+    bopt.maxRetries = max_retries;
+    bopt.shardSize = shard_size;
+    const std::vector<RunResult> results =
+        runCampaign(cells, iso_mode, popt, journal.get(), bopt,
+                    sweepConfigToJson(sc));
 
-        if (!grid_policies.empty()) {
-            // PInTE × policy grid: one machine per replacement policy,
-            // and per policy an isolation baseline (cell 0) plus the
-            // standard 12-point P sweep. Every cell is an independent
-            // job on the thread pool; each policy's sweep samples are
-            // weighted against that same policy's isolation run (a
-            // policy competes with itself unloaded, not with another
-            // policy's baseline), pooled into one contention curve and
-            // classified, with deltas against the first policy. The
-            // journal composes: per-policy machine fingerprints keep
-            // the cell keys distinct.
-            const auto &points = standardPInduceSweep();
-            const std::size_t per_policy = 1 + points.size();
-            std::vector<MachineConfig> machines;
-            std::vector<std::string> fps;
-            machines.reserve(grid_policies.size());
-            for (const ReplacementKind kind : grid_policies) {
-                MachineConfig m = machine;
-                m.llc.replacement = kind;
-                fps.push_back(m.fingerprint());
-                machines.push_back(m);
-            }
-            auto buildCell = [&](std::size_t pol, std::size_t idx) {
-                ExperimentSpec e(machines[pol]);
-                e.workload(spec).params(params);
-                if (idx > 0) {
-                    e.pinte(points[idx - 1]);
-                    if (scope_set)
-                        e.scope(scope);
-                    if (dram_factor > 0.0)
-                        e.dramComplement(dram_factor);
-                }
-                return e;
-            };
-            Runner runner(jobs);
-            runner.jobTimeout(job_timeout);
-            const auto flat = runner.map(
-                grid_policies.size() * per_policy,
-                [&](std::size_t c) {
-                    const std::size_t pol = c / per_policy;
-                    const std::size_t idx = c % per_policy;
-                    const ExperimentSpec e = buildCell(pol, idx);
-                    const std::string key = journalKey(
-                        fps[pol], params, spec.name, e.contention());
-                    if (journal)
-                        if (const RunResult *done = journal->find(key))
-                            return *done;
-                    RunOutcome o = e.tryRun();
-                    if (journal && o.ok())
-                        journal->record(key, o.result);
-                    return std::move(o.result);
-                });
-
-            std::vector<PolicyCurve> grid;
-            std::size_t grid_failed = 0;
-            for (std::size_t pol = 0; pol < grid_policies.size();
-                 ++pol) {
-                const char *pname =
-                    replacementCliName(grid_policies[pol]);
-                const RunResult &iso = flat[pol * per_policy];
-                PolicyCurve curve;
-                curve.policy = pname;
-                for (std::size_t idx = 0; idx < per_policy; ++idx) {
-                    const RunResult &r = flat[pol * per_policy + idx];
-                    if (r.failed())
-                        ++grid_failed;
-                    // Policy-qualified contention labels keep the
-                    // grid's rows apart in the one shared report.
-                    RunResult tagged = r;
-                    tagged.contention =
-                        std::string(pname) + ":" + tagged.contention;
-                    emit(tagged);
-                    if (idx == 0 || r.failed() || iso.failed())
-                        continue;
-                    const std::size_t n = std::min(
-                        r.samples.size(), iso.samples.size());
-                    for (std::size_t s = 0; s < n; ++s)
-                        curve.weightedIpc.push_back(weightedIpc(
-                            r.samples[s].ipc, iso.samples[s].ipc));
-                }
-                grid.push_back(std::move(curve));
-            }
-            rep.close();
-
-            const auto table = classifyPolicyGrid(grid);
-            std::printf(
-                "policy grid: %s, TPL %.0f%% (deltas vs %s)\n",
-                spec.name.c_str(), defaultTpl * 100,
-                table.empty() ? "-" : table.front().policy.c_str());
-            std::printf("  %-8s %-6s %10s %8s %6s\n", "policy",
-                        "class", "sensitive", "delta", "shift");
-            for (const auto &row : table)
-                std::printf("  %-8s %-6s %9.1f%% %+7.1f%% %+6d\n",
-                            row.policy.c_str(), toString(row.cls),
-                            row.sensitiveFraction * 100,
-                            row.deltaFraction * 100, row.classShift);
-            if (grid_failed) {
-                std::fprintf(
-                    stderr, "pintesim: %zu of %zu grid jobs failed\n",
-                    grid_failed, grid_policies.size() * per_policy);
-                return 1;
-            }
-            return 0;
-        }
-
-        const std::string fp = machine.fingerprint();
-        auto oneTry = [&](double p) {
-            const ExperimentSpec e = build(p);
-            const std::string key =
-                journalKey(fp, params, spec.name, e.contention());
-            if (journal)
-                if (const RunResult *done = journal->find(key))
-                    return *done;
-            RunOutcome o = e.tryRun();
-            if (journal && o.ok())
-                journal->record(key, o.result);
-            return std::move(o.result);
-        };
-
-        const auto &points = standardPInduceSweep();
-        std::vector<RunResult> results;
-        if (iso_mode == IsolationMode::Spool) {
-            // Durable file-queue backend: shards published to the
-            // spool, claimed by worker processes (locally spawned
-            // and/or started by hand as `pintesim --worker --spool
-            // DIR`), merged as results stream back. Journal hits
-            // resolve in the broker without touching the spool; fresh
-            // results journal on arrival, so --resume works across
-            // broker restarts exactly like the other backends.
-            sweep_cfg.workload = spec.name;
-            sweep_cfg.dramFactor = dram_factor;
-            sweep_cfg.params = params;
-            sweep_cfg.jobTimeout = job_timeout;
-            sweep_cfg.leaseTtl = lease_ttl;
-            std::vector<std::string> keys(points.size());
-            for (std::size_t k = 0; k < points.size(); ++k)
-                keys[k] = journalKey(fp, params, spec.name,
-                                     build(points[k]).contention());
-            BrokerOptions bopt;
-            bopt.spool = spool_dir;
-            bopt.workers =
-                jobs ? jobs
-                     : std::max(1u,
-                                std::thread::hardware_concurrency());
-            // argv[0] may be a bare name found via PATH; workers are
-            // exec'd directly, so resolve our own binary first (the
-            // broker falls back to an execvp PATH search anyway).
-            std::string self = argv[0];
-            {
-                char exe[4096];
-                const ::ssize_t len =
-                    ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-                if (len > 0)
-                    self.assign(exe, static_cast<std::size_t>(len));
-            }
-            bopt.workerArgv = {self, "--worker", "--spool",
-                               spool_dir};
-            bopt.leaseTtl = lease_ttl;
-            bopt.maxRetries = max_retries;
-            bopt.shardSize = shard_size;
-            results = runSpoolBroker(
-                campaignDocument(fp, sweep_cfg, keys), fp, keys, bopt,
-                [&](std::size_t k, RunResult &r) {
-                    r.workload = spec.name;
-                    r.contention = build(points[k]).contention();
-                },
-                [&](std::size_t k, const RunResult &r) {
-                    if (journal && !r.failed())
-                        journal->record(keys[k], r);
-                },
-                [&](std::size_t k) {
-                    return journal ? journal->find(keys[k]) : nullptr;
-                });
-        } else if (iso_mode == IsolationMode::Process) {
-            // Fork-isolated backend: the parent resolves journal hits
-            // up front, workers execute only the pending cells, and
-            // each result merges into the journal as it arrives so an
-            // interrupted campaign still supports --resume.
-            results.resize(points.size());
-            std::vector<std::size_t> pending;
-            std::vector<std::string> keys(points.size());
-            for (std::size_t k = 0; k < points.size(); ++k) {
-                keys[k] = journalKey(fp, params, spec.name,
-                                     build(points[k]).contention());
-                const RunResult *done =
-                    journal ? journal->find(keys[k]) : nullptr;
-                if (done)
-                    results[k] = *done;
-                else
-                    pending.push_back(k);
-            }
-            ProcOptions popt;
-            popt.workers = jobs;
-            popt.jobTimeout = job_timeout;
-            popt.maxRetries = max_retries;
-            const auto fresh = runProcessCampaign(
-                pending.size(),
-                [&](std::size_t j) {
-                    return build(points[pending[j]]).tryRun().result;
-                },
-                popt,
-                [&](std::size_t j, RunResult &r) {
-                    r.workload = spec.name;
-                    r.contention =
-                        build(points[pending[j]]).contention();
-                },
-                [&](std::size_t j, const RunResult &r) {
-                    if (journal && !r.failed())
-                        journal->record(keys[pending[j]], r);
-                });
-            for (std::size_t j = 0; j < pending.size(); ++j)
-                results[pending[j]] = fresh[j];
-        } else {
-            Runner runner(jobs);
-            runner.jobTimeout(job_timeout);
-            results = runner.map(
-                points.size(),
-                [&](std::size_t k) { return oneTry(points[k]); });
-        }
-        std::size_t failed = 0;
-        for (const auto &r : results) {
-            if (r.failed())
-                ++failed;
+    std::size_t failed = 0;
+    if (grid_policies.empty()) {
+        for (const RunResult &r : results) {
+            failed += r.failed();
             emit(r);
         }
         rep.close();
-        if (failed) {
+        if (failed)
             std::fprintf(stderr,
                          "pintesim: %zu of %zu sweep jobs failed\n",
                          failed, results.size());
-            return 1;
-        }
-    } else {
-        emit(build(*pinduce).run());
-        rep.close();
+        return failed ? 1 : 0;
     }
-    return 0;
+
+    // Each policy's sweep samples are weighted against that same
+    // policy's isolation run (a policy competes with itself unloaded,
+    // not with another policy's baseline), pooled into one contention
+    // curve and classified, with deltas against the first policy.
+    const std::size_t per_policy = results.size() / grid_policies.size();
+    std::vector<PolicyCurve> grid;
+    for (std::size_t pol = 0; pol < grid_policies.size(); ++pol) {
+        const char *pname = replacementCliName(grid_policies[pol]);
+        const RunResult &iso = results[pol * per_policy];
+        PolicyCurve curve;
+        curve.policy = pname;
+        for (std::size_t idx = 0; idx < per_policy; ++idx) {
+            const RunResult &r = results[pol * per_policy + idx];
+            failed += r.failed();
+            // Policy-qualified contention labels keep the grid's rows
+            // apart in the one shared report.
+            RunResult tagged = r;
+            tagged.contention = std::string(pname) + ":" + tagged.contention;
+            emit(tagged);
+            if (idx == 0 || r.failed() || iso.failed())
+                continue;
+            const std::size_t n =
+                std::min(r.samples.size(), iso.samples.size());
+            for (std::size_t s = 0; s < n; ++s)
+                curve.weightedIpc.push_back(
+                    weightedIpc(r.samples[s].ipc, iso.samples[s].ipc));
+        }
+        grid.push_back(std::move(curve));
+    }
+    rep.close();
+
+    const auto table = classifyPolicyGrid(grid);
+    std::printf("policy grid: %s, TPL %.0f%% (deltas vs %s)\n",
+                spec.name.c_str(), defaultTpl * 100,
+                table.empty() ? "-" : table.front().policy.c_str());
+    std::printf("  %-8s %-6s %10s %8s %6s\n", "policy", "class",
+                "sensitive", "delta", "shift");
+    for (const auto &row : table)
+        std::printf("  %-8s %-6s %9.1f%% %+7.1f%% %+6d\n",
+                    row.policy.c_str(), toString(row.cls),
+                    row.sensitiveFraction * 100, row.deltaFraction * 100,
+                    row.classShift);
+    if (failed)
+        std::fprintf(stderr, "pintesim: %zu of %zu grid jobs failed\n",
+                     failed, results.size());
+    return failed ? 1 : 0;
 }
 
 } // namespace
