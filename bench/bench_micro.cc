@@ -14,7 +14,6 @@
 #include "cpu/core.hh"
 #include "dram/dram.hh"
 #include "sim/experiment.hh"
-#include "sim/hotpath_bench.hh"
 #include "trace/generator.hh"
 #include "trace/zoo.hh"
 
@@ -168,71 +167,6 @@ BM_FullPInteExperiment(benchmark::State &state)
                                      .run());
 }
 BENCHMARK(BM_FullPInteExperiment);
-
-// The BM_Hotpath* group wraps the exact kernels the committed-baseline
-// harness measures (sim/hotpath_bench.hh), at reduced per-iteration
-// work so google-benchmark's repetition machinery converges quickly.
-// Use bench_hotpath itself to record trajectory points; use these to
-// compare per-component codegen across local edits.
-
-void
-BM_HotpathCacheAccess(benchmark::State &state)
-{
-    const std::uint64_t ops = 100'000;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hotpathCacheAccessOnce(ops));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_HotpathCacheAccess);
-
-void
-BM_HotpathLruPromote(benchmark::State &state)
-{
-    const std::uint64_t ops = 100'000;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hotpathLruPromoteOnce(ops));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_HotpathLruPromote);
-
-void
-BM_HotpathDrripInduction(benchmark::State &state)
-{
-    const std::uint64_t ops = 100'000;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hotpathDrripInductionOnce(ops));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_HotpathDrripInduction);
-
-void
-BM_HotpathTraceDecode(benchmark::State &state)
-{
-    const std::uint64_t records = 1u << 14;
-    HotpathScratchTrace trace(".", records);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            hotpathTraceDecodeOnce(trace.path(), records));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(records));
-}
-BENCHMARK(BM_HotpathTraceDecode);
-
-void
-BM_HotpathEndToEnd(benchmark::State &state)
-{
-    const std::uint64_t instr = 20'000;
-    HotpathScratchTrace trace(".", 1u << 14);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            hotpathEndToEndOnce(trace.path(), instr));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(instr));
-}
-BENCHMARK(BM_HotpathEndToEnd);
 
 } // namespace
 

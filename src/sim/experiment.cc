@@ -516,7 +516,7 @@ ExperimentSpec::run() const
 }
 
 std::vector<RunResult>
-ExperimentSpec::runAll() const
+ExperimentSpec::runAll(const std::function<void(System &)> &onFinish) const
 {
     if (workloads_.empty())
         throw ConfigError("ExperimentSpec: at least one workload required",
@@ -791,6 +791,8 @@ ExperimentSpec::runAll() const
         sys.audit();
         sys.auditStats();
     }
+    if (onFinish)
+        onFinish(sys);
 
     for (unsigned i = 0; i < n; ++i) {
         results[i].metrics = computeRunMetrics(sys, i);

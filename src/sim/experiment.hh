@@ -13,6 +13,7 @@
 #ifndef PINTE_SIM_EXPERIMENT_HH
 #define PINTE_SIM_EXPERIMENT_HH
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -430,8 +431,16 @@ class ExperimentSpec
     /** Execute and return core 0's result (the workload under study). */
     RunResult run() const;
 
-    /** Execute and return one result per core. */
-    std::vector<RunResult> runAll() const;
+    /**
+     * Execute and return one result per core. `onFinish`, when set,
+     * is called once with the live machine after the ROI, its
+     * time-series sampler and the paranoid audit have finished and
+     * before the results are read out; pintesim --report dumps the
+     * whole machine from there. The callback is not part of the
+     * spec: cell keys and campaigns never see it.
+     */
+    std::vector<RunResult>
+    runAll(const std::function<void(System &)> &onFinish = {}) const;
 
     /**
      * Fault-isolated run(): any Error (or std::exception) raised by

@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "analysis/sensitivity.hh"
 #include "common/error.hh"
@@ -40,7 +41,6 @@
 #include "sim/broker.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
-#include "sim/hotpath_bench.hh"
 #include "sim/journal.hh"
 #include "sim/options.hh"
 #include "sim/report.hh"
@@ -137,16 +137,15 @@ usage()
         "run\n"
         "      --resume FILE     journal completed runs in FILE and\n"
         "                        serve already-journaled runs from it\n"
-        "      --bench-baseline[=LABEL]  run the pinned hot-path\n"
-        "                        perf kernels best-of-N and merge the\n"
-        "                        batch into --out (default\n"
-        "                        BENCH_hotpath.json); see EXPERIMENTS.md\n"
-        "      --bench-reps N    repetitions per kernel (default 5)\n"
-        "      --bench-quick     smoke-test kernel sizes (perf.smoke)\n"
         "      --format FMT      output format: table json csv\n"
         "      --out FILE        write the report to FILE\n"
         "      --json            shorthand for --format=json\n"
-        "      --report          full machine statistics dump\n"
+        "      --report          full machine statistics dump of the\n"
+        "                        very run the other flags describe\n"
+        "                        (seed, pair, sampling, checkpoint);\n"
+        "                        not with campaign flags (--sweep,\n"
+        "                        --policies, --isolation=process|spool,\n"
+        "                        --worker, --resume)\n"
         "      --list            list zoo workloads and exit\n"
         "      --help            this text\n");
 }
@@ -365,8 +364,6 @@ pinteMain(int argc, char **argv)
     std::size_t shard_size = 1;
     std::vector<ReplacementKind> grid_policies; // --policies grid
     std::string resume_path;
-    bool bench_baseline = false;
-    HotpathOptions bench_opt;
     ReportFormat format = ReportFormat::Table;
     std::string out_path;
     std::string trace_path;
@@ -482,18 +479,6 @@ pinteMain(int argc, char **argv)
                 a, inline_val ? *inline_val : ""));
         } else if (a == "--resume") {
             resume_path = need();
-        } else if (a == "--bench-baseline") {
-            // Label is optional: a bare --bench-baseline must not
-            // consume the next positional argument.
-            bench_baseline = true;
-            if (inline_val && !inline_val->empty())
-                bench_opt.label = *inline_val;
-        } else if (a == "--bench-reps") {
-            bench_opt.reps =
-                static_cast<unsigned>(parseCount(a, need()));
-        } else if (a == "--bench-quick") {
-            flag();
-            bench_opt.quick = true;
         } else if (a == "--format") {
             format = parseReportFormat(need());
         } else if (a == "--out") {
@@ -520,6 +505,26 @@ pinteMain(int argc, char **argv)
             fatal("unknown option: " + a);
         }
     }
+
+    // The dump is the live machine of one run. A campaign has one
+    // machine per cell, and a journal keeps only their RunResults.
+    // --sweep is named last: the other campaign flags need it, and the
+    // error should name the more specific one.
+    const std::pair<bool, const char *> campaign_flags[] = {
+        {!grid_policies.empty(), "--policies"},
+        {iso_mode == IsolationMode::Process, "--isolation=process"},
+        {iso_mode == IsolationMode::Spool, "--isolation=spool"},
+        {worker_mode, "--worker"},
+        {!resume_path.empty(), "--resume"},
+        {sweep, "--sweep"},
+    };
+    for (const auto &[set, name] : campaign_flags)
+        if (report && set)
+            throw ConfigError(std::string("--report dumps the machine of "
+                                          "one run and does not "
+                                          "combine with ") +
+                                  name,
+                              {"options", name, ""});
 
     if (worker_mode) {
         // A spool worker takes its whole configuration from the
@@ -571,33 +576,6 @@ pinteMain(int argc, char **argv)
                           "(the thread backend never retries)",
                           {"options", "--max-retries", ""});
 
-    if (bench_baseline) {
-        // tools/bench_baseline mode: measure the pinned hot-path
-        // kernels and merge the batch into the baseline document,
-        // replacing rows that carry the same label.
-        const std::string bench_out =
-            out_path.empty() ? "BENCH_hotpath.json" : out_path;
-        std::vector<HotpathEntry> merged =
-            loadHotpathBaseline(bench_out);
-        std::erase_if(merged, [&](const HotpathEntry &e) {
-            return e.label == bench_opt.label;
-        });
-        const auto batch = runHotpathSuite(bench_opt);
-        merged.insert(merged.end(), batch.begin(), batch.end());
-        Report bench_rep(ReportFormat::Json, bench_out,
-                         {"pintesim", hotpathMachine().fingerprint(),
-                          ExperimentParams{}});
-        bench_rep->table(hotpathTable(merged));
-        bench_rep.close();
-        for (const auto &e : batch)
-            std::fprintf(stderr,
-                         "bench-baseline: %-12s best %9.6f s  "
-                         "%12.0f /s\n",
-                         e.kernel.c_str(), e.bestWallSeconds,
-                         e.ratePerSecond);
-        return 0;
-    }
-
     // A checkpoint path without an explicit cadence defaults to ten
     // checkpoints across the ROI.
     if (!params.checkpointPath.empty() && params.checkpointEvery == 0)
@@ -630,43 +608,6 @@ pinteMain(int argc, char **argv)
         TraceEvents::arm();
     }
 
-    if (report) {
-        // A report run drives the machine directly so the full stats
-        // block (every cache, DRAM, engines) is still live at dump
-        // time; RunResult only carries the summary.
-        MachineConfig m = machine;
-        m.numCores = 1;
-        if (pinduce) {
-            m.pinte.pInduce = *pinduce;
-            if (!sc.scope.empty())
-                m.pinteScope = parsePInteScope(sc.scope);
-        }
-        if (sc.dramFactor > 0.0 && pinduce)
-            m.dram.contentionExtra =
-                static_cast<Cycle>(*pinduce * sc.dramFactor);
-        TraceGenerator gen(spec);
-        System sys(m, {&gen});
-        {
-            TraceEvents::Span span("run", "warmup " + spec.name);
-            sys.warmup(params.warmup);
-        }
-        sys.startSampling(params.sampleIntervalCycles);
-        {
-            TraceEvents::Span span("run", "measure " + spec.name);
-            sys.runUntilCore0(params.roi);
-        }
-        sys.finishSampling();
-        if (Paranoid::on()) {
-            sys.audit();
-            sys.auditStats();
-        }
-        Report rep(format, out_path,
-                   {"pintesim", m.fingerprint(), params});
-        emitMachineReport(sys, rep.sink());
-        rep.close();
-        return 0;
-    }
-
     // Single runs execute on this thread; arm the hang watchdog here
     // (sweep workers re-arm per job via the Runner).
     if (sc.jobTimeout > 0.0)
@@ -676,25 +617,23 @@ pinteMain(int argc, char **argv)
                {"pintesim", machine.fingerprint(), params});
     auto emit = [&](const RunResult &r) { rep->run(r); };
 
-    if (pair) {
-        const auto results = ExperimentSpec(machine)
-                                 .workload(spec)
-                                 .secondTrace(findWorkload(*pair))
-                                 .params(params)
-                                 .runAll();
-        for (const auto &r : results)
-            emit(r);
-        rep.close();
-        return 0;
-    }
-
-    if (isolation || (!pinduce && !sweep)) {
-        emit(sweepCell(machine, spec, sc, std::nullopt).run());
-        rep.close();
-        return 0;
-    }
-    if (!sweep) {
-        emit(sweepCell(machine, spec, sc, *pinduce).run());
+    // One run: a 2nd-Trace pair, or one cell of the sweep grid. With
+    // --report the sink gets the whole machine of that very run in
+    // place of its RunResults.
+    if (pair || isolation || !sweep) {
+        const ExperimentSpec cell =
+            pair ? ExperimentSpec(machine)
+                       .workload(spec)
+                       .secondTrace(findWorkload(*pair))
+                       .params(params)
+                 : sweepCell(machine, spec, sc,
+                             isolation ? std::nullopt : pinduce);
+        if (report)
+            cell.runAll(
+                [&](System &sys) { emitMachineReport(sys, rep.sink()); });
+        else
+            for (const RunResult &r : cell.runAll())
+                emit(r);
         rep.close();
         return 0;
     }
