@@ -7,10 +7,15 @@
 namespace pinte
 {
 
+namespace detail
+{
+bool faultArmed = false;
+} // namespace detail
+
 namespace
 {
 
-/** Parsed once from PINTE_INJECT_FAULT on first use. */
+/** Parsed once from PINTE_INJECT_FAULT at start-up. */
 struct FaultPlan
 {
     bool armed = false;
@@ -41,6 +46,7 @@ struct FaultPlan
         if (nth == 0)
             nth = 1;
         armed = !kind.empty();
+        detail::faultArmed = armed;
     }
 };
 
@@ -51,16 +57,25 @@ plan()
     return p;
 }
 
+/** Parse PINTE_INJECT_FAULT at start-up, so the inline armed flag is
+ *  right before the first faultInjected() call. */
+[[maybe_unused]] const bool planParsedAtStartup = plan().armed;
+
 } // namespace
 
+namespace detail
+{
+
 bool
-faultInjected(const char *kind)
+faultHit(const char *kind)
 {
     FaultPlan &p = plan();
     if (!p.armed || p.kind != kind)
         return false;
     return p.hits.fetch_add(1, std::memory_order_relaxed) + 1 == p.nth;
 }
+
+} // namespace detail
 
 bool
 faultArmedForCell(const char *kind, unsigned long long cell)

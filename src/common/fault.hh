@@ -5,9 +5,9 @@
  * Setting PINTE_INJECT_FAULT=kind:nth arms exactly one fault: the nth
  * dynamic hit of the injection site named `kind` (1-based; ":nth"
  * defaults to 1) reports true and the site raises its natural typed
- * error. The hook is compiled in unconditionally — when the variable
- * is unset the cost per site is one branch on a cached bool — so CI
- * and release binaries exercise identical code paths.
+ * error. The hook is compiled in unconditionally — when no fault is
+ * armed the cost per site is one inline load and branch, with no call
+ * — so CI and release binaries exercise identical code paths.
  *
  * Sites wired today:
  *  - "job"          ExperimentSpec::runAll() entry — a whole
@@ -61,11 +61,26 @@
 namespace pinte
 {
 
+namespace detail
+{
+
+/** True while a fault plan is armed (PINTE_INJECT_FAULT or armFault). */
+extern bool faultArmed;
+
+/** faultInjected()'s armed path: match `kind` and count the hit. */
+bool faultHit(const char *kind);
+
+} // namespace detail
+
 /**
  * True exactly once: on the nth dynamic hit of the armed site.
  * Always false when PINTE_INJECT_FAULT is unset or names another site.
  */
-bool faultInjected(const char *kind);
+inline bool
+faultInjected(const char *kind)
+{
+    return detail::faultArmed && detail::faultHit(kind);
+}
 
 /**
  * True when the armed plan names `kind` and its nth (1-based) selects

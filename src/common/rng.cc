@@ -17,12 +17,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -41,58 +35,14 @@ Rng::reseed(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
+Rng::drawRangeRejecting(std::uint64_t bound, __uint128_t m)
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::drawUnit()
-{
-    // 53 high bits -> double in [0, 1) with full mantissa resolution.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::drawRange(std::uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Lemire's unbiased bounded draw.
-    std::uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    std::uint64_t l = static_cast<std::uint64_t>(m);
-    if (l < bound) {
-        std::uint64_t t = -bound % bound;
-        while (l < t) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * bound;
-            l = static_cast<std::uint64_t>(m);
-        }
-    }
+    // Lemire's unbiased bounded draw: redraw while the low word falls
+    // in the biased sliver below 2^64 mod bound.
+    const std::uint64_t t = -bound % bound;
+    while (static_cast<std::uint64_t>(m) < t)
+        m = static_cast<__uint128_t>(next()) * bound;
     return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t
-Rng::drawBetween(std::uint64_t lo, std::uint64_t hi)
-{
-    return lo + drawRange(hi - lo + 1);
-}
-
-bool
-Rng::drawBool(double p)
-{
-    return drawUnit() < p;
 }
 
 std::uint64_t

@@ -27,6 +27,46 @@ campaignDocument(const std::string &fingerprint, const std::string &spec,
     return doc + "]}";
 }
 
+/**
+ * One TraceStore per per-core stream that at least two pending cells
+ * read, handed to those cells core by core; other cores get no entry
+ * and run a live generator. Indexed like `pending`.
+ */
+std::vector<TraceStores>
+sharedTraces(const std::vector<ExperimentSpec> &cells,
+             const std::vector<std::size_t> &pending)
+{
+    struct Stream
+    {
+        WorkloadSpec spec;
+        std::vector<std::pair<std::size_t, std::size_t>> readers;
+    };
+    std::vector<Stream> streams;
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+        const ExperimentSpec &cell = cells[pending[j]];
+        for (std::size_t c = 0; c < cell.workloads().size(); ++c) {
+            WorkloadSpec spec = cell.coreWorkload(c);
+            auto it = std::find_if(
+                streams.begin(), streams.end(),
+                [&](const Stream &s) { return s.spec == spec; });
+            if (it == streams.end())
+                it = streams.insert(streams.end(), {std::move(spec), {}});
+            it->readers.emplace_back(j, c);
+        }
+    }
+    std::vector<TraceStores> traces(pending.size());
+    for (const Stream &s : streams) {
+        if (s.readers.size() < 2)
+            continue;
+        const auto store = std::make_shared<TraceStore>(s.spec);
+        for (const auto &[j, c] : s.readers) {
+            traces[j].resize(cells[pending[j]].workloads().size());
+            traces[j][c] = store;
+        }
+    }
+    return traces;
+}
+
 } // namespace
 
 std::vector<RunResult>
@@ -80,8 +120,17 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
         if (journal)
             journal->record(keys[i], r);
     };
+    // Cells that replay one stream share its trace in this address
+    // space (a process worker: in its own forked copy). A cell drops
+    // its references when it finishes, so a store is freed with the
+    // last cell that reads it. Spool workers run in processes of their
+    // own and generate as before.
+    std::vector<TraceStores> traces;
+    if (backend != IsolationMode::Spool)
+        traces = sharedTraces(cells, pending);
     const auto job = [&](std::size_t j) {
-        return cells[pending[j]].tryRun().result;
+        const TraceStores mine = std::move(traces[j]);
+        return cells[pending[j]].tryRun(mine).result;
     };
 
     switch (backend) {

@@ -516,7 +516,8 @@ ExperimentSpec::run() const
 }
 
 std::vector<RunResult>
-ExperimentSpec::runAll(const std::function<void(System &)> &onFinish) const
+ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
+                       const TraceStores &traces) const
 {
     if (workloads_.empty())
         throw ConfigError("ExperimentSpec: at least one workload required",
@@ -565,17 +566,21 @@ ExperimentSpec::runAll(const std::function<void(System &)> &onFinish) const
         machine.pinte.pInduce = 0.0;
     }
 
-    // Each trace gets a private address space (ChampSim offsets
-    // physical pages per cpu the same way); without this, identical
-    // zoo addresses would alias in the shared LLC instead of
-    // contending for it.
-    std::vector<std::unique_ptr<TraceGenerator>> gens;
+    std::vector<std::unique_ptr<TraceSource>> gens;
     std::vector<TraceSource *> sources;
     for (std::size_t i = 0; i < workloads_.size(); ++i) {
-        WorkloadSpec s = workloads_[i];
-        s.dataBase += 0x800000000ull * i;
-        s.codeBase += 0x40000000ull * i;
-        gens.push_back(std::make_unique<TraceGenerator>(s));
+        WorkloadSpec s = coreWorkload(i);
+        if (i < traces.size() && traces[i]) {
+            if (!(traces[i]->spec() == s))
+                throw ConfigError("trace store realizes '" +
+                                      traces[i]->spec().name +
+                                      "', not core " + std::to_string(i) +
+                                      "'s workload",
+                                  {"experiment", "", s.name});
+            gens.push_back(std::make_unique<TraceReplay>(traces[i]));
+        } else {
+            gens.push_back(std::make_unique<TraceGenerator>(s));
+        }
         sources.push_back(gens.back().get());
     }
     System sys(machine, sources);
@@ -844,15 +849,28 @@ ExperimentSpec::runAll(const std::function<void(System &)> &onFinish) const
     return results;
 }
 
-RunOutcome
-ExperimentSpec::tryRun() const
+WorkloadSpec
+ExperimentSpec::coreWorkload(std::size_t core) const
 {
-    auto all = tryRunAll();
+    // Each trace gets a private address space (ChampSim offsets
+    // physical pages per cpu the same way); without this, identical
+    // zoo addresses would alias in the shared LLC instead of
+    // contending for it.
+    WorkloadSpec s = workloads_.at(core);
+    s.dataBase += 0x800000000ull * core;
+    s.codeBase += 0x40000000ull * core;
+    return s;
+}
+
+RunOutcome
+ExperimentSpec::tryRun(const TraceStores &traces) const
+{
+    auto all = tryRunAll(traces);
     return {std::move(all.front().result)};
 }
 
 std::vector<RunOutcome>
-ExperimentSpec::tryRunAll() const
+ExperimentSpec::tryRunAll(const TraceStores &traces) const
 {
     // Labels for the placeholder cells a faulted job leaves behind;
     // computed up-front because the fault may hit before runAll()
@@ -872,7 +890,7 @@ ExperimentSpec::tryRunAll() const
     };
 
     try {
-        auto results = runAll();
+        auto results = runAll({}, traces);
         std::vector<RunOutcome> out(results.size());
         for (std::size_t i = 0; i < results.size(); ++i)
             out[i].result = std::move(results[i]);

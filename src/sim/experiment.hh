@@ -23,6 +23,7 @@
 #include "common/stats.hh"
 #include "core/pinte.hh"
 #include "sim/machine.hh"
+#include "trace/trace_store.hh"
 #include "trace/workload.hh"
 #include "trace/zoo.hh"
 
@@ -436,22 +437,35 @@ class ExperimentSpec
      * is called once with the live machine after the ROI, its
      * time-series sampler and the paranoid audit have finished and
      * before the results are read out; pintesim --report dumps the
-     * whole machine from there. The callback is not part of the
-     * spec: cell keys and campaigns never see it.
+     * whole machine from there. Core i replays `traces[i]` when that
+     * entry exists and is set, and runs a live generator otherwise;
+     * the store must realize coreWorkload(i). The stream is the same
+     * either way. Neither argument is part of the spec: cell keys and
+     * journals never see them.
      */
     std::vector<RunResult>
-    runAll(const std::function<void(System &)> &onFinish = {}) const;
+    runAll(const std::function<void(System &)> &onFinish = {},
+           const TraceStores &traces = {}) const;
 
     /**
      * Fault-isolated run(): any Error (or std::exception) raised by
      * the job is captured into the outcome's RunError instead of
      * propagating, with workload/contention labels filled in so the
-     * failed cell stays addressable in reports.
+     * failed cell stays addressable in reports. `traces` as for
+     * runAll().
      */
-    RunOutcome tryRun() const;
+    RunOutcome tryRun(const TraceStores &traces = {}) const;
 
     /** Fault-isolated runAll(): one outcome per core. */
-    std::vector<RunOutcome> tryRunAll() const;
+    std::vector<RunOutcome> tryRunAll(const TraceStores &traces = {}) const;
+
+    /**
+     * The spec core `core`'s trace is generated from: workload
+     * `core` moved into that core's private address space. Its
+     * stream depends on nothing else — no run seed, no P_Induce — so
+     * cells with equal core workloads read equal streams.
+     */
+    WorkloadSpec coreWorkload(std::size_t core) const;
 
     /**
      * The contention label core `core`'s RunResult will carry

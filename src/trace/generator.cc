@@ -44,6 +44,11 @@ TraceGenerator::TraceGenerator(WorkloadSpec spec, std::uint64_t run_seed)
         spec_.hotLines = spec_.footprintLines;
     if (spec_.phases == 0)
         spec_.phases = 1;
+    if (spec_.phases > 1 && spec_.phaseLength == 0)
+        throw ConfigError("workload '" + spec_.name +
+                              "' has phases of zero length",
+                          {"generator", "", spec_.name});
+    strideStep_ = spec_.strideLines % spec_.footprintLines;
 
     // Build the pointer-chase cycle with Sattolo's algorithm: one cycle
     // through every line, so chase reuse distance == footprint.
@@ -88,6 +93,8 @@ TraceGenerator::TraceGenerator(WorkloadSpec spec, std::uint64_t run_seed)
         s.biasTaken = site_rng.drawBool(0.7);
     }
 
+    codeEnd_ = spec_.codeBase + Addr{nsites} * blockLen_ * instBytes;
+
     for (auto &r : recentRegs_)
         r = 1;
 
@@ -110,21 +117,26 @@ TraceGenerator::reset()
         s.counter = 0;
     for (auto &r : recentRegs_)
         r = 1;
+    syncPhase();
 }
 
-std::uint32_t
-TraceGenerator::phase() const
+void
+TraceGenerator::syncPhase()
 {
-    if (spec_.phases <= 1)
-        return 0;
-    return static_cast<std::uint32_t>(
+    if (spec_.phases <= 1) {
+        phase_ = 0;
+        phaseLeft_ = ~std::uint64_t{0};
+        return;
+    }
+    phase_ = static_cast<std::uint32_t>(
         (generated_ / spec_.phaseLength) % spec_.phases);
+    phaseLeft_ = spec_.phaseLength - generated_ % spec_.phaseLength;
 }
 
 std::uint64_t
 TraceGenerator::nextDataLine()
 {
-    const std::uint32_t ph = phase();
+    const std::uint32_t ph = phase_;
     // Later phases rotate the mix so phase changes are visible in the
     // run-time metric series (Fig 7 relies on dynamic behavior).
     double hot_frac = spec_.hotFraction;
@@ -147,11 +159,14 @@ TraceGenerator::nextDataLine()
     const double r = rng_.drawUnit();
     const std::uint64_t n = spec_.footprintLines;
     if (r < stream_f) {
-        seqCursor_ = (seqCursor_ + 1) % n;
+        if (++seqCursor_ == n)
+            seqCursor_ = 0;
         return seqCursor_;
     }
     if (r < stream_f + stride_f) {
-        strideCursor_ = (strideCursor_ + spec_.strideLines) % n;
+        strideCursor_ += strideStep_;
+        if (strideCursor_ >= n)
+            strideCursor_ -= n;
         return strideCursor_;
     }
     if (r < stream_f + stride_f + chase_f) {
@@ -180,7 +195,8 @@ TraceGenerator::fillBranch(TraceRecord &r)
         r.branchTaken = rng_.drawBool(0.5);
         break;
     }
-    siteIdx_ = (siteIdx_ + 1) % sites_.size();
+    if (++siteIdx_ == sites_.size())
+        siteIdx_ = 0;
     ip_ = r.branchTaken ? s.target
                         : s.ip + instBytes;
 }
@@ -203,9 +219,7 @@ TraceGenerator::next()
         blockPos_ = block_end ? 0 : blockPos_ + 1;
         // Keep the synthetic code footprint bounded: wrap back to the
         // segment start once past the last branch site.
-        const Addr code_end =
-            spec_.codeBase + sites_.size() * blockLen_ * instBytes;
-        if (ip_ >= code_end)
+        if (ip_ >= codeEnd_)
             ip_ = spec_.codeBase;
     }
 
@@ -250,6 +264,8 @@ TraceGenerator::next()
     }
 
     ++generated_;
+    if (--phaseLeft_ == 0)
+        syncPhase();
     return r;
 }
 
@@ -277,23 +293,55 @@ TraceGenerator::saveState(SnapshotWriter &w) const
 void
 TraceGenerator::loadState(SnapshotReader &r)
 {
-    loadRng(r, rng_);
-    generated_ = r.get64();
-    seqCursor_ = r.get64();
-    strideCursor_ = r.get64();
-    chaseCursor_ = r.get64();
-    siteIdx_ = r.get32();
-    ip_ = r.get64();
-    blockPos_ = r.get32();
-    recentHead_ = r.get32();
-    for (std::uint8_t &reg : recentRegs_)
+    // Every cursor indexes a table or wraps by compare, so a value
+    // out of range would read or write out of bounds: reject the
+    // snapshot before touching any state.
+    const auto checked = [&](std::uint64_t v, std::uint64_t bound,
+                             const char *what) {
+        if (v >= bound)
+            throw SimError(std::string("checkpoint generator ") + what +
+                               " out of range",
+                           {"generator", "", std::to_string(v)});
+        return v;
+    };
+    Rng rng;
+    loadRng(r, rng);
+    const std::uint64_t generated = r.get64();
+    const std::uint64_t n = spec_.footprintLines;
+    const std::uint64_t seq = checked(r.get64(), n, "sequential cursor");
+    const std::uint64_t stride = checked(r.get64(), n, "stride cursor");
+    const std::uint64_t chase = checked(r.get64(), n, "chase cursor");
+    const auto site = static_cast<std::uint32_t>(
+        checked(r.get32(), sites_.size(), "branch-site index"));
+    const Addr ip = r.get64();
+    const auto block_pos = static_cast<std::uint32_t>(
+        checked(r.get32(), blockLen_, "block position"));
+    const auto recent_head = static_cast<std::uint32_t>(
+        checked(r.get32(), 8, "register-ring head"));
+    std::uint8_t recent[8];
+    for (std::uint8_t &reg : recent)
         reg = r.get8();
     const std::uint64_t nsites = r.get64();
     if (nsites != sites_.size())
         throw SimError("checkpoint branch-site count mismatch",
                        {"generator", "", std::to_string(nsites)});
-    for (BranchSite &s : sites_)
-        s.counter = r.get32();
+    std::vector<std::uint32_t> counters(sites_.size());
+    for (std::uint32_t &c : counters)
+        c = r.get32();
+
+    rng_ = rng;
+    generated_ = generated;
+    seqCursor_ = seq;
+    strideCursor_ = stride;
+    chaseCursor_ = chase;
+    siteIdx_ = site;
+    ip_ = ip;
+    blockPos_ = block_pos;
+    recentHead_ = recent_head;
+    std::copy(std::begin(recent), std::end(recent), recentRegs_);
+    for (std::size_t i = 0; i < sites_.size(); ++i)
+        sites_[i].counter = counters[i];
+    syncPhase();
 }
 
 VectorTraceSource::VectorTraceSource(std::vector<TraceRecord> records)

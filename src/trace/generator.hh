@@ -96,7 +96,12 @@ class TraceGenerator : public TraceSource
      * phase schedules jump correctly — while every cursor and the RNG
      * stream stay put and resume the same process afterwards.
      */
-    void skip(std::uint64_t n) override { generated_ += n; }
+    void
+    skip(std::uint64_t n) override
+    {
+        generated_ += n;
+        syncPhase();
+    }
 
     /** The (normalized) spec this generator realizes. */
     const WorkloadSpec &spec() const { return spec_; }
@@ -108,8 +113,8 @@ class TraceGenerator : public TraceSource
     /** Pick the next data line according to the phase-adjusted mix. */
     std::uint64_t nextDataLine();
 
-    /** Phase index for the current instruction count. */
-    std::uint32_t phase() const;
+    /** Recompute phase_ and phaseLeft_ from generated_. */
+    void syncPhase();
 
     /** Emit a branch record for the current block end. */
     void fillBranch(TraceRecord &r);
@@ -120,10 +125,21 @@ class TraceGenerator : public TraceSource
 
     std::uint64_t generated_ = 0;
 
-    // Pattern cursors.
+    // The phase schedule as running counters, so next() divides by
+    // nothing: phase_ is (generated_ / phaseLength) % phases and
+    // phaseLeft_ the instructions until it next changes.
+    std::uint32_t phase_ = 0;
+    std::uint64_t phaseLeft_ = 0;
+
+    // Pattern cursors. Each stays below footprintLines, so advancing
+    // one wraps with a compare instead of a modulo (loadState
+    // rejects a cursor that breaks this).
     std::uint64_t seqCursor_ = 0;
     std::uint64_t strideCursor_ = 0;
     std::uint64_t chaseCursor_ = 0;
+
+    /** strideLines reduced modulo footprintLines. */
+    std::uint64_t strideStep_ = 0;
 
     /** Sattolo single-cycle permutation for the pointer chase. */
     std::vector<std::uint32_t> chaseNext_;
@@ -143,6 +159,8 @@ class TraceGenerator : public TraceSource
     Addr ip_;
     std::uint32_t blockPos_ = 0;
     std::uint32_t blockLen_ = 6;
+    /** One past the last branch site's block: ip_ wraps back here. */
+    Addr codeEnd_ = 0;
 
     // Dependency engine: ring of recently written registers.
     std::uint8_t recentRegs_[8];

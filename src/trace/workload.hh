@@ -134,6 +134,9 @@ struct WorkloadSpec
 
     /** Renormalize the pattern-mix fractions in place. */
     void normalizeMix();
+
+    /** Field-wise equality: equal specs generate equal streams. */
+    bool operator==(const WorkloadSpec &) const = default;
 };
 
 } // namespace pinte

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/snapshot.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
 #include "trace/zoo.hh"
@@ -33,6 +34,68 @@ tinySpec()
     s.footprintLines = 64;
     s.hotLines = 8;
     return s;
+}
+
+/** FNV-1a over every field of each record a source yields. */
+std::uint64_t
+fnvWord(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+std::uint64_t
+digestRecords(TraceSource &src, std::uint64_t n,
+              std::uint64_t h = 0xcbf29ce484222325ull)
+{
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const TraceRecord r = src.next();
+        for (const Addr a : {r.ip, r.loadAddr[0], r.loadAddr[1],
+                             r.storeAddr[0], r.storeAddr[1],
+                             r.branchTarget})
+            h = fnvWord(h, a);
+        h = fnvWord(h, std::uint64_t{r.srcReg[0]} |
+                           std::uint64_t{r.srcReg[1]} << 8 |
+                           std::uint64_t{r.dstReg} << 16 |
+                           std::uint64_t{r.numLoads} << 24 |
+                           std::uint64_t{r.numStores} << 32 |
+                           std::uint64_t{r.isBranch} << 40 |
+                           std::uint64_t{r.branchTaken} << 48 |
+                           std::uint64_t{r.execLatency} << 56);
+    }
+    return h;
+}
+
+/** Generator snapshot bytes with the given cursor fields and
+ *  otherwise fresh state, laid out as TraceGenerator::saveState. */
+struct CraftedState
+{
+    std::uint64_t seq = 0, stride = 0, chase = 0;
+    std::uint32_t site = 0, blockPos = 0, recentHead = 0;
+};
+
+std::vector<std::uint8_t>
+craft(const CraftedState &c, std::uint64_t nsites)
+{
+    SnapshotWriter w;
+    saveRng(w, Rng(1));
+    w.put64(0); // generated
+    w.put64(c.seq);
+    w.put64(c.stride);
+    w.put64(c.chase);
+    w.put32(c.site);
+    w.put64(0x400000); // ip
+    w.put32(c.blockPos);
+    w.put32(c.recentHead);
+    for (int i = 0; i < 8; ++i)
+        w.put8(1);
+    w.put64(nsites);
+    for (std::uint64_t i = 0; i < nsites; ++i)
+        w.put32(0);
+    return w.bytes();
 }
 
 } // namespace
@@ -248,6 +311,67 @@ TEST(TraceGenerator, ExecLatencyWithinDeclaredRange)
         ASSERT_GE(lat, 1);
         ASSERT_LE(lat, 16);
     }
+}
+
+TEST(TraceGenerator, LoadStateRejectsOutOfRangeCursors)
+{
+    // tinySpec: 64 footprint lines, 64 branch sites, 6-instruction
+    // blocks, an 8-entry register ring.
+    const WorkloadSpec spec = tinySpec();
+    TraceGenerator g(spec);
+    for (int i = 0; i < 777; ++i)
+        g.next();
+    TraceGenerator same(spec);
+    for (int i = 0; i < 777; ++i)
+        same.next();
+
+    const auto load = [&](const CraftedState &c) {
+        SnapshotReader r(craft(c, spec.branchSites));
+        g.loadState(r);
+    };
+    CraftedState c;
+    c.seq = spec.footprintLines;
+    EXPECT_ERROR(load(c), SimError, "sequential cursor");
+    c = {};
+    c.stride = spec.footprintLines + 5;
+    EXPECT_ERROR(load(c), SimError, "stride cursor");
+    c = {};
+    c.chase = ~std::uint64_t{0};
+    EXPECT_ERROR(load(c), SimError, "chase cursor");
+    c = {};
+    c.site = spec.branchSites;
+    EXPECT_ERROR(load(c), SimError, "branch-site index");
+    c = {};
+    c.recentHead = 8;
+    EXPECT_ERROR(load(c), SimError, "register-ring head");
+    c = {};
+    c.blockPos = 6;
+    EXPECT_ERROR(load(c), SimError, "block position");
+
+    // A rejected snapshot leaves the generator where it was.
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(g.next().ip, same.next().ip);
+
+    // The largest in-range values load and generate.
+    c.seq = c.stride = c.chase = spec.footprintLines - 1;
+    c.site = spec.branchSites - 1;
+    c.blockPos = 5;
+    c.recentHead = 7;
+    load(c);
+    for (int i = 0; i < 1000; ++i) {
+        const TraceRecord r = g.next();
+        for (unsigned k = 0; k < r.numLoads; ++k)
+            ASSERT_LT(r.loadAddr[k] - spec.dataBase,
+                      spec.footprintLines * blockSize);
+    }
+}
+
+TEST(TraceGenerator, ZeroLengthPhasesAreRejected)
+{
+    WorkloadSpec s = tinySpec();
+    s.phases = 3;
+    s.phaseLength = 0;
+    EXPECT_ERROR(TraceGenerator{s}, ConfigError, "zero length");
 }
 
 TEST(VectorTraceSource, ReplaysAndWraps)
@@ -585,6 +709,108 @@ TEST(Zoo, UnknownNameIsFatal)
 {
     EXPECT_ERROR(findWorkload("999.nonesuch"), ConfigError,
                  "unknown zoo workload");
+}
+
+namespace
+{
+
+/**
+ * FNV digests of every zoo stream, recorded before the generator lost
+ * its per-instruction divisions: the first 200K records, and the 50K
+ * records that follow skip(50000).
+ */
+struct ZooDigest
+{
+    const char *name;
+    std::uint64_t first200k;
+    std::uint64_t afterSkip;
+};
+
+const ZooDigest zooDigests[] = {
+    {"400.perlbench", 0x4c40e80444fda0d6ull, 0x22045f3b3529eba5ull},
+    {"401.bzip2", 0x540b3f65cb5762b9ull, 0x816cadaa43608ecfull},
+    {"403.gcc", 0x76011e590efa0ec3ull, 0x427bfbc1da908e8full},
+    {"410.bwaves", 0x5b17b617f1d8788aull, 0x6e98e8922a542818ull},
+    {"416.gamess", 0x8df3be4f4c0f221eull, 0x3b8257b073a8c3a4ull},
+    {"429.mcf", 0x1b52d75315e8bae5ull, 0xca494daa132f48a1ull},
+    {"433.milc", 0xbff323a79d9db046ull, 0x5039617fef758756ull},
+    {"434.zeusmp", 0xfb93285ee43313d5ull, 0x825cc8e125679f67ull},
+    {"435.gromacs", 0x7bc52922824939c1ull, 0x91f21126539b5abdull},
+    {"436.cactusADM", 0x0fe37d50d5c60e0dull, 0x7c3ab777d920b03dull},
+    {"437.leslie3d", 0xe04de202910628e8ull, 0x6e238b6e098fc390ull},
+    {"444.namd", 0xec5aaf28a2608cc0ull, 0x1eaa5921bccfab0dull},
+    {"445.gobmk", 0x66ecba9b25ad8ea3ull, 0x02b6654110bb67c4ull},
+    {"447.dealII", 0x385f62f04be25adfull, 0x88cdb12ef78f539eull},
+    {"450.soplex", 0x1b353858a0bc618aull, 0x9151dc6ae6aff025ull},
+    {"453.povray", 0x12a2de0ea51c10feull, 0x1b276c97bc5cfa51ull},
+    {"454.calculix", 0x684b90c14857ee90ull, 0x94466a648977092full},
+    {"456.hmmer", 0xcb02ea21dcd2e3b3ull, 0x4089eb1ae33acce8ull},
+    {"458.sjeng", 0xd201cdfe874bc72bull, 0x7dd86fd81220cdaeull},
+    {"459.GemsFDTD", 0x6305e06780e39709ull, 0x15ea0b42031bf155ull},
+    {"462.libquantum", 0x747ef67a5a161012ull, 0x27e8922cdea23f73ull},
+    {"464.h264ref", 0xec268cdb0de97275ull, 0xc3cc68ddbfe6ded5ull},
+    {"465.tonto", 0x65148dd3bd6918c5ull, 0xc4fdc91549d6b926ull},
+    {"470.lbm", 0x8e37967e38bf4cc2ull, 0x79a06a8e45169f69ull},
+    {"471.omnetpp", 0x34840189b774d049ull, 0x440254470df7d467ull},
+    {"473.astar", 0x05aacb1c28d1560full, 0x8751acb38abda4c8ull},
+    {"481.wrf", 0x9d948241edeb7242ull, 0x3a0405df6eba2770ull},
+    {"482.sphinx3", 0x47c52fd8e1c186a7ull, 0xa85c6fde0ce40ee7ull},
+    {"483.xalancbmk", 0xb70a134599163679ull, 0x99de3e726d885281ull},
+    {"600.perlbench", 0xa51ab1c78efa9f04ull, 0x242dd6f737dcd7a9ull},
+    {"602.gcc", 0x1687322b15b0c409ull, 0xc6922967ac38ca9cull},
+    {"603.bwaves", 0xf80b7bd3626ad202ull, 0x60d574dcef4a7ca5ull},
+    {"605.mcf", 0x29857dfc5d3756ffull, 0xa4f639296d9288c6ull},
+    {"607.cactuBSSN", 0x856706a2b726a972ull, 0xa9a8677a2a8722c1ull},
+    {"619.lbm", 0xc9c136556d41438dull, 0x9d01122eb97071b2ull},
+    {"620.omnetpp", 0x1398e61a0e45c1bcull, 0xd3d8b32c4350f62full},
+    {"621.wrf", 0x4678f77e53909dd1ull, 0xd10bbd18546cb119ull},
+    {"623.xalancbmk", 0xce73c938a75f37c3ull, 0x12a6229414ab3b3aull},
+    {"625.x264", 0xa3f4610404ddc39full, 0xb33ac1c52537cbb2ull},
+    {"627.cam4", 0xad2a5ff7fbd5ab66ull, 0x987c485288caf547ull},
+    {"628.pop2", 0x058b349a210d095aull, 0xe17790837870858full},
+    {"631.deepsjeng", 0xd4db21dc468522a5ull, 0xc481b95bdbbd4759ull},
+    {"638.imagick", 0xcf1a545f0df154fdull, 0xec2558ae72e98661ull},
+    {"641.leela", 0xb7029e23f129076full, 0x7f9d29391e1a43d5ull},
+    {"644.nab", 0x10979b5f0fd45c6full, 0x4f1bedda028ca3f8ull},
+    {"648.exchange2", 0xa9c393d99a38e16bull, 0x8be3e44bff6ad395ull},
+    {"649.fotonik3d", 0x9dbdcb8f7f536400ull, 0xdd48787ca0ec592aull},
+    {"654.roms", 0x3b1501c426f8ff5full, 0x20c023f74a743b3cull},
+    {"657.xz", 0xb3d87efd871596c0ull, 0x1a0cab799bd26655ull},
+};
+
+} // namespace
+
+TEST(Zoo, StreamsMatchRecordedDigests)
+{
+    ASSERT_EQ(std::size(zooDigests), fullZoo().size());
+    for (const ZooDigest &d : zooDigests) {
+        TraceGenerator g(findWorkload(d.name));
+        EXPECT_EQ(digestRecords(g, 200000), d.first200k) << d.name;
+    }
+}
+
+TEST(Zoo, StreamsAfterSkipMatchRecordedDigests)
+{
+    for (const ZooDigest &d : zooDigests) {
+        TraceGenerator g(findWorkload(d.name));
+        g.skip(50000);
+        EXPECT_EQ(digestRecords(g, 50000), d.afterSkip) << d.name;
+    }
+}
+
+TEST(Zoo, CheckpointRoundTripMidStreamKeepsTheStream)
+{
+    for (const ZooDigest &d : zooDigests) {
+        const WorkloadSpec spec = findWorkload(d.name);
+        TraceGenerator first(spec);
+        const std::uint64_t h = digestRecords(first, 100000);
+        SnapshotWriter w;
+        first.saveState(w);
+        TraceGenerator second(spec);
+        SnapshotReader r(w.bytes());
+        second.loadState(r);
+        EXPECT_EQ(digestRecords(second, 100000, h), d.first200k) << d.name;
+    }
 }
 
 TEST(WorkloadSpec, NormalizeMixSumsToOne)

@@ -3,10 +3,12 @@
 # Runs pintesim across a configuration matrix chosen to light up every
 # hot-path subsystem the engine refactors touch — all replacement
 # policies, every inclusion mode, prefetchers on and off, PInTE scopes,
-# pair co-runs, an isolation run, a sweep, and a full --report machine
-# dump with paranoid audits — and asserts each JSON report is identical
-# (modulo cpu_seconds, see check_bitwise.py) to the golden captured in
-# tests/golden/bitwise/ with the pre-refactor engine.
+# pair co-runs, an isolation run, a sweep, a sampled sweep (whose
+# fast-forward skips detach cells from the campaign's shared trace),
+# and a full --report machine dump with paranoid audits — and asserts
+# each JSON report is identical (modulo cpu_seconds, see
+# check_bitwise.py) to the golden captured in tests/golden/bitwise/
+# with the pre-refactor engine.
 #
 # Invoked from tools/CMakeLists.txt with -DPINTESIM=... -DPYTHON=...
 # -DCHECKER=<check_bitwise.py> -DGOLDEN_DIR=... -DWORKDIR=...
@@ -32,6 +34,7 @@ set(matrix
     "random_iso|-w|401.bzip2|--isolation|--policy|random|--seed|3"
     "l2scope_sweep|-w|444.namd|--sweep|--scope|l2|--jobs|2|--seed|6"
     "lhd_pinte|-w|450.soplex|-p|0.3|--policy|lhd|--seed|8"
+    "gcc_sampled_sweep|-w|403.gcc|--sweep|--sample-mode|periodic|--sample-interval-length|2000|--sample-detailed-fraction|0.25|--jobs|2"
 )
 
 foreach(entry IN LISTS matrix)
