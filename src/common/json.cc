@@ -331,12 +331,18 @@ class Parser
         if (pos_ >= text_.size())
             return fail("unexpected end of document");
         const char c = text_[pos_];
+        // Nesting recurses; a document from a file must not be able
+        // to overflow the stack. (A failed parse abandons depth_.)
+        if ((c == '{' || c == '[') && ++depth_ > kMaxDepth)
+            return fail("nesting deeper than " +
+                        std::to_string(kMaxDepth));
         if (c == '{') {
             out.type = JsonValue::Type::Object;
             ++pos_;
             skipWs();
             if (pos_ < text_.size() && text_[pos_] == '}') {
                 ++pos_;
+                --depth_;
                 return true;
             }
             for (;;) {
@@ -361,6 +367,7 @@ class Parser
                 }
                 if (text_[pos_] == '}') {
                     ++pos_;
+                    --depth_;
                     return true;
                 }
                 return fail("expected ',' or '}'");
@@ -372,6 +379,7 @@ class Parser
             skipWs();
             if (pos_ < text_.size() && text_[pos_] == ']') {
                 ++pos_;
+                --depth_;
                 return true;
             }
             for (;;) {
@@ -388,6 +396,7 @@ class Parser
                 }
                 if (text_[pos_] == ']') {
                     ++pos_;
+                    --depth_;
                     return true;
                 }
                 return fail("expected ',' or ']'");
@@ -433,8 +442,11 @@ class Parser
         return true;
     }
 
+    static constexpr int kMaxDepth = 512;
+
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     std::string *error_ = nullptr;
 };
 

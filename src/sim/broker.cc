@@ -1,10 +1,10 @@
 #include "broker.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include <csignal>
 #include <cstdio>
@@ -18,6 +18,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/sink.hh"
+#include "sim/spool_wait.hh"
 #include "sim/watchdog.hh"
 
 namespace pinte
@@ -118,13 +119,16 @@ spawnLocalWorker(const std::vector<std::string> &argv)
     return pid;
 }
 
-/** A local worker child and when it was forked (exec-failure storms
- *  are recognized by children dying with 127 moments after spawn). */
-struct ChildProc
+/** How a reaped child ended, for the pre-claim guard's messages. */
+std::string
+describeExit(int status)
 {
-    pid_t pid;
-    double spawnedAt;
-};
+    if (WIFEXITED(status))
+        return "exit status " + std::to_string(WEXITSTATUS(status));
+    if (WIFSIGNALED(status))
+        return "signal " + std::to_string(WTERMSIG(status));
+    return "wait status " + std::to_string(status);
+}
 
 } // namespace
 
@@ -274,33 +278,35 @@ runSpoolBroker(const std::string &campaignJson,
 
     std::set<std::string> retired;
     StreamScanner scanner(spool);
-    std::vector<ChildProc> children;
+    // Armed before the first scan: whatever a worker writes from here
+    // on either shows in a scan or wakes the wait that follows it.
+    SpoolWaiter waiter(opt.spool);
+    std::vector<pid_t> children;
     std::set<pid_t> deadChildren;
-    unsigned execFailStreak = 0;
+    // Local pids ever seen holding a lease. A child that dies without
+    // one (exec failure, config skew, a bad spool) died before
+    // claiming; a streak of those means respawning is a fork storm,
+    // not capacity.
+    std::set<pid_t> claimedPids;
+    std::vector<std::pair<pid_t, int>> freshDeaths; // pid, wait status
+    unsigned preClaimStreak = 0;
+    std::string lastPreClaimExit;
     bool spawnBroken = false;
+    double lastProgress = 0.0; // while spawnBroken: last lease or merge
     const std::string myHost = spoolHostName();
 
     const auto reapChildren = [&](bool block) {
         for (auto it = children.begin(); it != children.end();) {
             int status = 0;
-            const pid_t r =
-                ::waitpid(it->pid, &status, block ? 0 : WNOHANG);
-            if (r == it->pid || (r < 0 && errno != EINTR)) {
+            const pid_t r = ::waitpid(*it, &status, block ? 0 : WNOHANG);
+            if (r == *it || (r < 0 && errno != EINTR)) {
                 // Remember the corpse: a lease this pid holds can be
                 // reclaimed immediately instead of waiting out its
                 // deadline (local children only — remote worker
                 // deaths are visible through lease expiry alone).
-                deadChildren.insert(it->pid);
-                // Exit 127 moments after the fork is exec itself
-                // failing (bad argv[0], missing binary): a streak of
-                // those means respawning is a fork storm, not
-                // capacity.
-                if (r == it->pid && WIFEXITED(status) &&
-                    WEXITSTATUS(status) == 127 &&
-                    spoolWallClock() - it->spawnedAt < 1.0)
-                    ++execFailStreak;
-                else
-                    execFailStreak = 0;
+                deadChildren.insert(*it);
+                freshDeaths.emplace_back(*it, status);
+                waiter.forgetChild(*it);
                 it = children.erase(it);
             } else {
                 ++it;
@@ -308,8 +314,8 @@ runSpoolBroker(const std::string &campaignJson,
         }
     };
     const auto killChildren = [&]() {
-        for (const ChildProc &c : children)
-            ::kill(c.pid, SIGKILL);
+        for (const pid_t pid : children)
+            ::kill(pid, SIGKILL);
         reapChildren(true);
     };
 
@@ -415,30 +421,16 @@ runSpoolBroker(const std::string &campaignJson,
 
     try {
         while (remaining > 0) {
+            waiter.drain();
             const double now = spoolWallClock();
+            // pollInterval is only the ceiling for writers inotify
+            // cannot see; the scan pulls the wake in to the nearest
+            // deadline it passes.
+            double wake = now + opt.pollInterval;
+            const std::size_t unresolved = remaining;
+            bool leaseHeld = false;
 
-            // Keep local worker capacity up (crashed workers respawn
-            // while work remains) — unless every recent child died
-            // instantly with exit 127 (exec failure): then respawning
-            // is a silent fork storm, so give up on local workers and
-            // rely on external ones instead of stalling forever.
             reapChildren(false);
-            if (!spawnBroken && execFailStreak >= 3) {
-                spawnBroken = true;
-                warn("local workers exit 127 immediately (exec of " +
-                     opt.workerArgv[0] +
-                     " fails); not respawning — the campaign needs "
-                     "external `pintesim --worker` processes");
-            }
-            if (!opt.workerArgv.empty() && !spawnBroken)
-                while (children.size() < opt.workers) {
-                    const pid_t pid = spawnLocalWorker(opt.workerArgv);
-                    if (pid < 0)
-                        break;
-                    children.push_back(
-                        ChildProc{pid, spoolWallClock()});
-                    deadChildren.erase(pid); // pid recycled by the OS
-                }
 
             for (auto &kv : shards) {
                 ShardSpec &s = kv.second;
@@ -488,6 +480,8 @@ runSpoolBroker(const std::string &campaignJson,
                              std::to_string(s.token) +
                              "; breaking it");
                         spool.breakLease(s.id, s.token);
+                    } else {
+                        wake = std::min(wake, leaseMtime + opt.leaseTtl);
                     }
                     continue;
                 }
@@ -495,8 +489,13 @@ runSpoolBroker(const std::string &campaignJson,
                     if (lease.deadline <= now)
                         spool.breakLease(s.id,
                                          s.token); // backoff served
+                    else
+                        wake = std::min(wake, lease.deadline);
                     continue;
                 }
+                leaseHeld = true;
+                if (lease.host == myHost)
+                    claimedPids.insert(static_cast<pid_t>(lease.pid));
                 if (lease.host == myHost &&
                     deadChildren.count(
                         static_cast<pid_t>(lease.pid))) {
@@ -521,22 +520,85 @@ runSpoolBroker(const std::string &campaignJson,
                         std::to_string(lease.pid) + " on " +
                         lease.host + ", ttl " + fmtSecs(opt.leaseTtl) +
                         "s)";
-                    if (lease.host == myHost)
-                        for (const ChildProc &c : children)
-                            if (c.pid ==
-                                static_cast<pid_t>(lease.pid)) {
-                                ::kill(c.pid, SIGKILL);
-                                why += "; worker killed";
-                                break;
-                            }
+                    const pid_t holder = static_cast<pid_t>(lease.pid);
+                    if (lease.host == myHost &&
+                        std::count(children.begin(), children.end(),
+                                   holder)) {
+                        ::kill(holder, SIGKILL);
+                        why += "; worker killed";
+                    }
                     reclaimShard(s, why);
+                } else {
+                    wake = std::min(wake, lease.deadline);
                 }
             }
 
             if (remaining == 0)
                 break;
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(opt.pollInterval));
+
+            // A child's death counts against the pre-claim streak only
+            // when no scan, this one included, ever saw it hold a
+            // lease: a worker that crashed mid-shard still has its
+            // lease on disk.
+            for (const auto &[pid, status] : freshDeaths) {
+                if (claimedPids.count(pid)) {
+                    preClaimStreak = 0;
+                } else {
+                    ++preClaimStreak;
+                    lastPreClaimExit = describeExit(status);
+                }
+            }
+            freshDeaths.clear();
+            if (!spawnBroken && preClaimStreak >= 3) {
+                spawnBroken = true;
+                lastProgress = now;
+                warn("local workers exited before claiming a shard " +
+                     std::to_string(preClaimStreak) +
+                     " times in a row (last: " + lastPreClaimExit +
+                     ", worker " + opt.workerArgv[0] +
+                     "); not respawning — the campaign needs external "
+                     "`pintesim --worker` processes");
+            }
+            if (spawnBroken) {
+                // Without local workers the campaign lives on external
+                // ones; if none holds a lease or delivers a cell for a
+                // whole TTL, fail loudly instead of stalling silently.
+                if (leaseHeld || remaining < unresolved)
+                    lastProgress = now;
+                if (now >= lastProgress + opt.leaseTtl)
+                    throw ConfigError(
+                        "spool campaign stalled: local workers exited "
+                        "before claiming a shard (last: " +
+                            lastPreClaimExit + ", worker " +
+                            opt.workerArgv[0] +
+                            ") and no worker held a lease for " +
+                            fmtSecs(opt.leaseTtl) + "s",
+                        {"broker", opt.spool, ""});
+                wake = std::min(wake, lastProgress + opt.leaseTtl);
+            } else if (!opt.workerArgv.empty()) {
+                // Keep local worker capacity up: crashed workers
+                // respawn while work remains. After a pre-claim death,
+                // one unproven child at a time, so a broken argv or
+                // config costs three spawns, not three rounds.
+                while (children.size() < opt.workers) {
+                    if (preClaimStreak > 0 &&
+                        std::any_of(children.begin(), children.end(),
+                                    [&](pid_t c) {
+                                        return !claimedPids.count(c);
+                                    }))
+                        break;
+                    const pid_t pid = spawnLocalWorker(opt.workerArgv);
+                    if (pid < 0)
+                        break;
+                    children.push_back(pid);
+                    waiter.watchChild(pid);
+                    // The OS may recycle pids.
+                    deadChildren.erase(pid);
+                    claimedPids.erase(pid);
+                }
+            }
+
+            waiter.wait(wake);
         }
     } catch (...) {
         killChildren();
@@ -547,9 +609,11 @@ runSpoolBroker(const std::string &campaignJson,
     // stragglers are reaped the hard way after a short grace.
     spool.markComplete();
     const double grace = spoolWallClock() + 2.0;
-    while (!children.empty() && spoolWallClock() < grace) {
+    for (;;) {
         reapChildren(false);
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        if (children.empty() || spoolWallClock() >= grace)
+            break;
+        waiter.wait(std::min(grace, spoolWallClock() + 0.05));
     }
     killChildren();
     return results;
@@ -691,12 +755,14 @@ runSpoolWorker(const std::string &spoolRoot,
                const ProcJobFn &fn, const SpoolWorkerOptions &opt)
 {
     Spool spool(spoolRoot);
+    SpoolWaiter waiter(spoolRoot);
     for (;;) {
+        // Events queued while a shard ran are already in this scan.
+        waiter.drain();
         if (spool.complete())
             return;
         if (!spoolWorkerStep(spool, cellKeys, fn, opt))
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(opt.idlePoll));
+            waiter.wait(spoolWallClock() + opt.idlePoll);
     }
 }
 

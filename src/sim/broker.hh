@@ -64,7 +64,9 @@ struct BrokerOptions
     std::string spool;
 
     /** Local worker processes to spawn; 0 spawns none (external
-     *  workers only — tests, or hand-started remote workers). */
+     *  workers only — tests, or hand-started remote workers). Three
+     *  children in a row that exit before they are seen holding a
+     *  lease stop the respawning. */
     unsigned workers = 0;
 
     /** argv to exec local workers with; empty disables spawning even
@@ -89,7 +91,11 @@ struct BrokerOptions
      *  1 makes loss granularity exactly one cell. */
     std::size_t shardSize = 1;
 
-    /** Broker scan interval in seconds. */
+    /** Longest the broker sleeps between scans, in seconds. Local
+     *  file events and child exits wake it at once (sim/spool_wait.hh),
+     *  so this is only the fallback ceiling for writers inotify cannot
+     *  see — workers on other hosts over NFS — and for hosts without
+     *  inotify or pidfds. */
     double pollInterval = 0.1;
 };
 
@@ -104,7 +110,10 @@ using BrokerLookupFn =
  * resolved, and return results in cell order. `campaignJson` is the
  * full campaign document; adopting an existing spool requires it to
  * match byte for byte. Throws ConfigError on a spool/campaign
- * mismatch; worker loss never throws — it quarantines.
+ * mismatch, and when local workers keep dying before they claim
+ * anything and no worker then holds a lease for a whole leaseTtl (the
+ * message quotes the last child's exit status). Worker loss after a
+ * claim never throws — it quarantines.
  */
 std::vector<RunResult> runSpoolBroker(
     const std::string &campaignJson, const std::string &fingerprint,
@@ -121,7 +130,11 @@ struct SpoolWorkerOptions
     /** Cooperative per-cell watchdog limit (seconds); 0 disables. */
     double jobTimeout = 0.0;
 
-    /** Seconds between idle scans for claimable shards. */
+    /** Longest an idle worker sleeps between scans for claimable
+     *  shards, in seconds. A new shard, a released lease or the
+     *  complete marker wakes it at once when written on this host;
+     *  this ceiling covers writers on other hosts and hosts without
+     *  inotify. */
     double idlePoll = 0.2;
 
     /** Machine fingerprint the worker was configured with; a shard

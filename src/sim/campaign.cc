@@ -27,11 +27,8 @@ campaignDocument(const std::string &fingerprint, const std::string &spec,
     return doc + "]}";
 }
 
-/**
- * One TraceStore per per-core stream that at least two pending cells
- * read, handed to those cells core by core; other cores get no entry
- * and run a live generator. Indexed like `pending`.
- */
+} // namespace
+
 std::vector<TraceStores>
 sharedTraces(const std::vector<ExperimentSpec> &cells,
              const std::vector<std::size_t> &pending)
@@ -66,8 +63,6 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
     }
     return traces;
 }
-
-} // namespace
 
 std::vector<RunResult>
 runCell(const ExperimentSpec &cell, RunJournal *journal)
@@ -124,7 +119,7 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
     // space (a process worker: in its own forked copy). A cell drops
     // its references when it finishes, so a store is freed with the
     // last cell that reads it. Spool workers run in processes of their
-    // own and generate as before.
+    // own and build their stores there (`pintesim --worker`).
     std::vector<TraceStores> traces;
     if (backend != IsolationMode::Spool)
         traces = sharedTraces(cells, pending);

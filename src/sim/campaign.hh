@@ -39,6 +39,17 @@ std::vector<RunResult> runCell(const ExperimentSpec &cell,
                                RunJournal *journal);
 
 /**
+ * One TraceStore per per-core stream that at least two of the cells
+ * `cells[pending[j]]` read, handed to those cells core by core; other
+ * cores get no entry and run a live generator. Indexed like `pending`;
+ * pass element j to cells[pending[j]].tryRun(). Stores are lazy, so
+ * building them does no trace work.
+ */
+std::vector<TraceStores>
+sharedTraces(const std::vector<ExperimentSpec> &cells,
+             const std::vector<std::size_t> &pending);
+
+/**
  * Run a campaign and return core 0's result of every cell, in cell
  * order. Journal hits are served up front; the pending cells run on
  * `backend`:

@@ -65,6 +65,25 @@ leaseToJson(const Lease &l)
     return os.str();
 }
 
+/** An unsigned integer a peer wrote, no larger than `max`. False, not
+ *  a throw, on anything else: a reader of a dying peer's bytes must
+ *  classify damage, not raise it. */
+bool
+uintOf(const JsonValue *v, std::uint64_t max, std::uint64_t &out)
+{
+    if (!v || !v->isNumber())
+        return false;
+    try {
+        out = v->asU64();
+    } catch (const Error &) {
+        return false;
+    }
+    return out <= max;
+}
+
+constexpr std::uint64_t kU32Max = 0xffffffffull;
+constexpr std::uint64_t kI64Max = 0x7fffffffffffffffull;
+
 bool
 leaseFromJson(const std::string &json, Lease &out)
 {
@@ -73,17 +92,17 @@ leaseFromJson(const std::string &json, Lease &out)
     if (!err.empty() || !v.isObject())
         return false;
     const JsonValue *shard = v.find("shard");
-    const JsonValue *token = v.find("token");
-    const JsonValue *pid = v.find("pid");
     const JsonValue *host = v.find("host");
     const JsonValue *deadline = v.find("deadline");
-    if (!shard || !shard->isString() || !token || !token->isNumber() ||
-        !pid || !pid->isNumber() || !host || !host->isString() ||
-        !deadline || !deadline->isNumber())
+    std::uint64_t token = 0, pid = 0;
+    if (!shard || !shard->isString() ||
+        !uintOf(v.find("token"), kU32Max, token) ||
+        !uintOf(v.find("pid"), kI64Max, pid) || !host ||
+        !host->isString() || !deadline || !deadline->isNumber())
         return false;
     out.shard = shard->asString();
-    out.token = static_cast<std::uint32_t>(token->asU64());
-    out.pid = static_cast<std::int64_t>(pid->asU64());
+    out.token = static_cast<std::uint32_t>(token);
+    out.pid = static_cast<std::int64_t>(pid);
     out.host = host->asString();
     out.deadline = deadline->asDouble();
     return true;
@@ -488,26 +507,26 @@ shardFromJson(const std::string &json, ShardSpec &out)
         return false;
     const JsonValue *id = v.find("id");
     const JsonValue *fp = v.find("fingerprint");
-    const JsonValue *token = v.find("token");
-    const JsonValue *attempt = v.find("attempt");
-    const JsonValue *budget = v.find("budget");
     const JsonValue *cells = v.find("cells");
     const JsonValue *log = v.find("attempt_log");
-    if (!id || !id->isString() || !fp || !fp->isString() || !token ||
-        !token->isNumber() || !attempt || !attempt->isNumber() ||
-        !budget || !budget->isNumber() || !cells ||
+    std::uint64_t token = 0, attempt = 0, budget = 0;
+    if (!id || !id->isString() || !fp || !fp->isString() ||
+        !uintOf(v.find("token"), kU32Max, token) ||
+        !uintOf(v.find("attempt"), kU32Max, attempt) ||
+        !uintOf(v.find("budget"), kU32Max, budget) || !cells ||
         !cells->isArray() || !log || !log->isArray())
         return false;
     out.id = id->asString();
     out.fingerprint = fp->asString();
-    out.token = static_cast<std::uint32_t>(token->asU64());
-    out.attempt = static_cast<std::uint32_t>(attempt->asU64());
-    out.budget = static_cast<std::uint32_t>(budget->asU64());
+    out.token = static_cast<std::uint32_t>(token);
+    out.attempt = static_cast<std::uint32_t>(attempt);
+    out.budget = static_cast<std::uint32_t>(budget);
     out.cells.clear();
     for (const JsonValue &c : cells->array) {
-        if (!c.isNumber())
+        std::uint64_t cell = 0;
+        if (!uintOf(&c, ~std::uint64_t{0}, cell))
             return false;
-        out.cells.push_back(c.asU64());
+        out.cells.push_back(cell);
     }
     out.attemptLog.clear();
     for (const JsonValue &line : log->array) {

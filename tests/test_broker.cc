@@ -2,8 +2,9 @@
  * @file
  * Spool broker tests: restart-from-spool merging, duplicate-completion
  * idempotency, lease fencing against stale workers, adoption-time
- * salvage of superseded streams, baseline memoization, and quarantine
- * provenance for exhausted shards.
+ * salvage of superseded streams, baseline memoization, quarantine
+ * provenance for exhausted shards, the pre-claim respawn guard, and
+ * the event wake-ups of the spool's wait loops.
  *
  * Every test drives the real on-disk protocol (src/sim/shard_queue.hh)
  * under a private spool directory; the fencing test runs a live broker
@@ -24,10 +25,15 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/json.hh"
 #include "sim/broker.hh"
 #include "sim/shard_queue.hh"
 #include "sim/sink.hh"
+#include "sim/spool_wait.hh"
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 namespace pinte
 {
@@ -106,6 +112,14 @@ workerOptions()
     opt.fingerprint = kFp;
     opt.idlePoll = 0.01;
     return opt;
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
 }
 
 /** Drain every claimable shard with `fn`, as an external worker. */
@@ -523,6 +537,36 @@ TEST(Broker, BrokerHealsCorruptLeaseAfterGrace)
 }
 
 /**
+ * A shard or lease whose numbers are negative, fractional or too wide
+ * for their field reads as damage (unreadable shard, corrupt lease),
+ * never as an exception that would take the broker down.
+ */
+TEST(Broker, OutOfRangeNumbersReadAsDamage)
+{
+    const std::string root = freshSpool("bad_numbers");
+    Spool spool(root);
+    ShardSpec s;
+    s.id = "s000000";
+    s.fingerprint = kFp;
+    s.cells = {0};
+    for (const char *bad : {"-1", "0.5", "4294967296"}) {
+        std::string json = shardToJson(s);
+        const std::string field = "\"attempt\": 0";
+        json.replace(json.find(field), field.size(),
+                     std::string("\"attempt\": ") + bad);
+        ShardSpec out;
+        EXPECT_FALSE(shardFromJson(json, out)) << json;
+
+        std::ofstream(spool.leaseFile(s.id, 1), std::ios::trunc)
+            << "{\"shard\": \"s000000\", \"token\": " << bad
+            << ", \"pid\": 1, \"host\": \"h\", \"deadline\": 1}";
+        Lease lease;
+        EXPECT_EQ(spool.probeLease(s.id, 1, lease), LeaseProbe::Corrupt)
+            << bad;
+    }
+}
+
+/**
  * Token-named lease files make renewal fencing structural: a stale
  * owner renewing after its shard was reclaimed must fail without
  * touching the bumped token's lease (the broker's backoff pacing),
@@ -609,6 +653,144 @@ TEST(Broker, UnexecableWorkerArgvDoesNotStallCampaign)
         EXPECT_FALSE(results[i].failed()) << results[i].error.message;
         EXPECT_EQ(canonical(results[i]), canonical(syntheticResult(i)));
     }
+}
+
+/**
+ * Local children that die before they are ever seen holding a lease
+ * (here: every one exits 3 at once, as a config-skewed worker would)
+ * stop the respawning after three, and with no external worker to
+ * carry the campaign it fails with a ConfigError quoting the exit
+ * status instead of stalling silently.
+ */
+TEST(Broker, PreClaimDeathsStopRespawningAndFailLoudly)
+{
+    const std::string root = freshSpool("preclaim");
+    const std::string spawnLog = root + ".spawns";
+    std::filesystem::remove(spawnLog);
+    const auto keys = syntheticKeys(2);
+
+    BrokerOptions opt = brokerOptions(root);
+    opt.workers = 2;
+    opt.leaseTtl = 0.5;
+    opt.workerArgv = {"/bin/sh", "-c",
+                      "echo spawned >> '" + spawnLog + "'; exit 3"};
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string what;
+    try {
+        runSpoolBroker(kDoc, kFp, keys, opt);
+    } catch (const ConfigError &e) {
+        what = e.what();
+    }
+    const double secs = secondsSince(t0);
+    ASSERT_FALSE(what.empty()) << "the campaign did not fail";
+    EXPECT_NE(what.find("exit status 3"), std::string::npos) << what;
+    EXPECT_LT(secs, 10.0);
+
+    std::ifstream log(spawnLog);
+    std::size_t spawns = 0;
+    for (std::string line; std::getline(log, line);)
+        ++spawns;
+    EXPECT_EQ(spawns, 3u);
+}
+
+/**
+ * With both fallback ceilings at 30 s, a broker and an external
+ * same-host worker still finish a 4-cell campaign in well under a
+ * second: every wake comes from a file event (shard published, lease
+ * claimed, record appended, complete marker), none from a timer. A
+ * timer-only loop would need at least 30 s.
+ */
+TEST(Broker, WakesOnEventsNotTimers)
+{
+    const std::string root = freshSpool("events");
+    const auto keys = syntheticKeys(4);
+
+    BrokerOptions opt = brokerOptions(root);
+    opt.pollInterval = 30.0;
+    SpoolWorkerOptions wopt = workerOptions();
+    wopt.idlePoll = 30.0;
+
+    std::atomic<std::size_t> calls{0};
+    const ProcJobFn fn = [&](std::size_t i) {
+        ++calls;
+        return syntheticResult(i);
+    };
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<RunResult> results;
+    std::thread broker([&] {
+        results = runSpoolBroker(kDoc, kFp, keys, opt);
+    });
+    std::thread worker([&] { runSpoolWorker(root, keys, fn, wopt); });
+    broker.join();
+    worker.join();
+    const double secs = secondsSince(t0);
+
+    EXPECT_LT(secs, 5.0);
+    EXPECT_EQ(calls.load(), 4u);
+    ASSERT_EQ(results.size(), 4u);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_FALSE(results[i].failed()) << results[i].error.message;
+        EXPECT_EQ(canonical(results[i]), canonical(syntheticResult(i)));
+    }
+}
+
+TEST(SpoolWaiter, FileEventEndsTheWait)
+{
+    const std::string root = freshSpool("wait_file");
+    Spool spool(root);
+    SpoolWaiter waiter(root);
+    std::thread writer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        spool.markComplete();
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    waiter.wait(spoolWallClock() + 30.0);
+    writer.join();
+    EXPECT_LT(secondsSince(t0), 5.0);
+}
+
+TEST(SpoolWaiter, ChildExitEndsTheWait)
+{
+    const std::string root = freshSpool("wait_child");
+    Spool spool(root);
+    SpoolWaiter waiter(root);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::usleep(50000);
+        ::_exit(0);
+    }
+    waiter.watchChild(pid);
+    const auto t0 = std::chrono::steady_clock::now();
+    waiter.wait(spoolWallClock() + 30.0);
+    EXPECT_LT(secondsSince(t0), 5.0);
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    waiter.forgetChild(pid);
+}
+
+TEST(SpoolWaiter, DeadlineBoundsAQuietWait)
+{
+    const std::string root = freshSpool("wait_quiet");
+    Spool spool(root);
+    SpoolWaiter waiter(root);
+    const auto t0 = std::chrono::steady_clock::now();
+    waiter.wait(spoolWallClock() + 0.1);
+    const double secs = secondsSince(t0);
+    EXPECT_GE(secs, 0.09);
+    EXPECT_LT(secs, 5.0);
+}
+
+/** A directory inotify cannot watch degrades to the timed sleep. */
+TEST(SpoolWaiter, UnwatchableSpoolFallsBackToTheDeadline)
+{
+    SpoolWaiter waiter(freshSpool("wait_missing"));
+    const auto t0 = std::chrono::steady_clock::now();
+    waiter.wait(spoolWallClock() + 0.1);
+    const double secs = secondsSince(t0);
+    EXPECT_GE(secs, 0.09);
+    EXPECT_LT(secs, 5.0);
 }
 
 } // namespace

@@ -296,5 +296,16 @@ TEST(Json, AsU64RejectsNegativeFractionalAndOutOfRange)
     }
 }
 
+/** Files a peer wrote reach the parser; nesting is bounded rather
+ *  than recursing until the stack overflows. */
+TEST(Json, NestingDepthIsBounded)
+{
+    std::string err;
+    parseJson(std::string(512, '[') + std::string(512, ']'), &err);
+    EXPECT_TRUE(err.empty()) << err;
+    parseJson(std::string(100000, '['), &err);
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+}
+
 } // namespace
 } // namespace pinte

@@ -2,7 +2,7 @@
 """Chaos acceptance for the spool campaign backend (ctest
 chaos.spool_broker, via check_spool.cmake).
 
-Five campaigns run against fault-free references, exercising every
+Seven campaigns run against fault-free references, exercising every
 leg of the broker's failure model (src/sim/broker.hh):
 
  1. clean:  a fault-free spool campaign must be bitwise-identical
@@ -25,6 +25,11 @@ leg of the broker's failure model (src/sim/broker.hh):
     mid-campaign (a power cut); a second broker started with the
     same flags must finish from the spool alone, exit zero, and
     produce a report bitwise-identical to a fault-free run.
+ 7. early:  a hand-started `pintesim --worker` that reaches the spool
+    before the broker must wait for the campaign document, join the
+    campaign beside the broker's own workers, and exit 0 once the
+    broker marks it complete; the report stays bitwise-identical to
+    the fault-free reference.
 
 In every faulty campaign the healthy cells must match the reference
 bit for bit: containment, not just survival.
@@ -299,6 +304,34 @@ def main():
     h.expect_bitwise(out, big_ref, "restarted campaign")
     print("chaos_spool: kill: restart completed from the spool alone, "
           "bitwise vs fault-free")
+
+    # 7. Early worker: started on an empty spool, it waits for
+    # campaign.json (woken by the broker's rename, not a timer), works
+    # beside the local workers, and leaves on the complete marker.
+    extra, spool, out = h.spool_args("early", [])
+    early = subprocess.Popen([h.pintesim, "--worker", "--spool", spool],
+                             env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True)
+    try:
+        time.sleep(0.5)
+        if early.poll() is not None:
+            fail("early: worker exited %d before the campaign existed:"
+                 "\n%s" % (early.returncode, early.stderr.read()))
+        h.run(small + extra)
+        try:
+            _, err = early.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            fail("early: worker still running 30s after the campaign "
+                 "completed")
+    finally:
+        if early.poll() is None:
+            early.kill()
+            early.communicate()
+    if early.returncode != 0:
+        fail("early: worker exited %d:\n%s" % (early.returncode, err))
+    h.expect_bitwise(out, reference, "early-worker campaign")
+    print("chaos_spool: early: a worker started before the broker "
+          "joined and exited 0; report bitwise vs process mode")
 
     print("chaos_spool: all spool chaos scenarios passed")
     return 0

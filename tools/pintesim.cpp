@@ -23,9 +23,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -45,6 +45,7 @@
 #include "sim/options.hh"
 #include "sim/report.hh"
 #include "sim/sink.hh"
+#include "sim/spool_wait.hh"
 #include "sim/watchdog.hh"
 #include "sim/worker_proc.hh"
 
@@ -299,12 +300,16 @@ int
 spoolWorkerMain(const std::string &spool_dir)
 {
     Spool spool(spool_dir);
-    // A hand-started worker may beat the broker to the spool: wait
-    // for the campaign document rather than failing the race.
-    while (!spool.hasCampaign()) {
-        if (spool.complete())
-            return 0;
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    {
+        // A hand-started worker may beat the broker to the spool: wait
+        // for the campaign document rather than failing the race. Its
+        // rename into the spool root wakes the wait at once.
+        SpoolWaiter waiter(spool_dir);
+        while (!spool.hasCampaign()) {
+            if (spool.complete())
+                return 0;
+            waiter.wait(spoolWallClock() + 0.2);
+        }
     }
     std::string err;
     const JsonValue doc = parseJson(spool.readCampaign(), &err);
@@ -335,13 +340,20 @@ spoolWorkerMain(const std::string &spool_dir)
                                   std::to_string(k),
                               {"pintesim", spool_dir, keys[k]});
 
+    // Whatever shards this worker claims, cells that replay one stream
+    // share it through a store that lives as long as the worker.
+    std::vector<std::size_t> all(cells.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const std::vector<TraceStores> traces = sharedTraces(cells, all);
+
     SpoolWorkerOptions wopt;
     wopt.leaseTtl = sc.leaseTtl;
     wopt.jobTimeout = sc.jobTimeout;
     wopt.fingerprint = fp;
     runSpoolWorker(
         spool_dir, keys,
-        [&](std::size_t k) { return cells[k].tryRun().result; }, wopt);
+        [&](std::size_t k) { return cells[k].tryRun(traces[k]).result; },
+        wopt);
     return 0;
 }
 
