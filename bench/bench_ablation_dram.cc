@@ -106,30 +106,23 @@ benchMain(int argc, char **argv)
             if (peer.name != spec.name)
                 peers.push_back(peer);
 
-        // One job bag per target: (n-1) 2nd-Trace pairings, then the
+        // One campaign per target: (n-1) 2nd-Trace pairings, then the
         // sweep without and with the DRAM complement.
         const std::size_t np = peers.size(), nk = sweep.size();
-        ProgressMeter meter(opt, name, np + 2 * nk);
-        auto runs = opt.runner().map(
-            np + 2 * nk,
-            [&](std::size_t i) {
-                if (i < np)
-                    return campaignCell(opt, ExperimentSpec(machine)
-                        .workload(spec)
-                        .secondTrace(peers[i])
-                        .params(opt.params));
-                if (i < np + nk)
-                    return campaignCell(opt, ExperimentSpec(machine)
-                        .workload(spec)
-                        .pinte(sweep[i - np])
-                        .params(opt.params));
-                return campaignCell(opt, ExperimentSpec(machine)
-                    .workload(spec)
-                    .pinte(sweep[i - np - nk])
-                    .dramComplement()
-                    .params(opt.params));
-            },
-            meter.asTick());
+        std::vector<ExperimentSpec> cells;
+        for (const auto &peer : peers)
+            cells.push_back(ExperimentSpec(machine)
+                                .workload(spec)
+                                .secondTrace(peer)
+                                .params(opt.params));
+        for (const double p : sweep)
+            cells.push_back(ExperimentSpec(machine)
+                                .workload(spec)
+                                .pinte(p)
+                                .params(opt.params));
+        for (std::size_t k = 0; k < nk; ++k)
+            cells.push_back(ExperimentSpec(cells[np + k]).dramComplement());
+        auto runs = opt.run(name, cells);
 
         if (rep->wantsAllRuns())
             for (const auto &r : runs)

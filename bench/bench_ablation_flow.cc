@@ -71,16 +71,14 @@ benchMain(int argc, char **argv)
             isolationBaseline(zoo, machine, opt);
 
         const std::size_t nw = zoo.size(), nk = sweep.size();
-        ProgressMeter meter(opt, v.label, nk * nw);
-        const auto runs = opt.runner().map(
-            nk * nw,
-            [&](std::size_t idx) {
-                return campaignCell(opt, ExperimentSpec(machine)
-                    .workload(zoo[idx % nw])
-                    .pinte(sweep[idx / nw])
-                    .params(opt.params));
-            },
-            meter.asTick());
+        std::vector<ExperimentSpec> cells;
+        for (const double p : sweep)
+            for (const auto &spec : zoo)
+                cells.push_back(ExperimentSpec(machine)
+                                    .workload(spec)
+                                    .pinte(p)
+                                    .params(opt.params));
+        const auto runs = opt.run(v.label, cells);
 
         if (rep->wantsAllRuns())
             for (const auto &r : runs)

@@ -42,34 +42,33 @@ benchMain(int argc, char **argv)
 
     for (const char *name : targets) {
         const WorkloadSpec spec = findWorkload(name);
-        const RunResult iso = campaignCell(opt, ExperimentSpec(machine)
-                                  .workload(spec)
-                                  .params(opt.params));
+        // The isolation baseline, then every (P_Induce, scope) point.
+        const double probs[] = {0.05, 0.2, 0.5};
+        const std::size_t ns = std::size(scopes);
+        std::vector<ExperimentSpec> cells = {
+            ExperimentSpec(machine).workload(spec).params(opt.params)};
+        for (const double p : probs)
+            for (const PInteScope scope : scopes)
+                cells.push_back(ExperimentSpec(machine)
+                                    .workload(spec)
+                                    .pinte(p)
+                                    .scope(scope)
+                                    .params(opt.params));
+        const auto runs = opt.run(name, cells);
+        const RunResult &iso = runs[0];
+        if (rep->wantsAllRuns())
+            for (const auto &r : runs)
+                rep->run(r);
 
         rep->note(spec.name + " (" + toString(spec.klass) +
                   ", isolation IPC " + fmt(iso.metrics.ipc, 3) + ")");
         TableData t("ablation_scope_" + spec.name,
                     {"P_Induce", "llc-only: intf/wIPC",
                      "l2-only: l2-intf/wIPC", "l2+llc: l2-intf/wIPC"});
-        const double probs[] = {0.05, 0.2, 0.5};
-        const std::size_t ns = std::size(scopes);
-        const auto runs = opt.runner().map(
-            std::size(probs) * ns, [&](std::size_t idx) {
-                return campaignCell(opt, ExperimentSpec(machine)
-                    .workload(spec)
-                    .pinte(probs[idx / ns])
-                    .scope(scopes[idx % ns])
-                    .params(opt.params));
-            });
-        if (rep->wantsAllRuns()) {
-            rep->run(iso);
-            for (const auto &r : runs)
-                rep->run(r);
-        }
         for (std::size_t pi = 0; pi < std::size(probs); ++pi) {
             std::vector<Cell> row = {Cell::real(probs[pi], 2)};
             for (std::size_t si = 0; si < ns; ++si) {
-                const RunResult &r = runs[pi * ns + si];
+                const RunResult &r = runs[1 + pi * ns + si];
                 const double intf =
                     scopes[si] == PInteScope::LlcOnly
                         ? r.metrics.interferenceRate

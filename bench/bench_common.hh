@@ -8,13 +8,15 @@
  * 2nd-Trace method. Each bench binary builds the campaign it needs via
  * these helpers and then reduces it to one table or figure.
  *
- * All three families execute on the parallel campaign runner
- * (sim/runner.hh): every experiment is an independent simulation, so
- * a campaign spreads across `--jobs=N` worker threads while results
- * come back in submission order — the reduction a bench prints is
- * byte-identical whatever N is. Per-experiment costs stay meaningful
- * under concurrency because RunResult::cpuSeconds is per-thread CPU
- * time, not wall time.
+ * A bench describes each campaign as a vector of cells
+ * (ExperimentSpecs) and hands it to BenchOptions::run(), which resolves
+ * it through runCampaign() (sim/campaign.hh), the same path pintesim's
+ * sweeps take: --resume journal hits are served, faults are
+ * quarantined, and cells that replay one trace share its TraceStore.
+ * Cells spread across `--jobs=N` worker threads while results come back
+ * in cell order, so the reduction a bench prints is byte-identical
+ * whatever N is. Per-experiment costs stay meaningful under concurrency
+ * because RunResult::cpuSeconds is per-thread CPU time, not wall time.
  */
 
 #ifndef PINTE_BENCH_BENCH_COMMON_HH
@@ -48,6 +50,63 @@
 namespace pinte::bench
 {
 
+/**
+ * Progress ticker on stderr (tables go to stdout).
+ *
+ * Exactly one writer: the meter is only ever ticked from the thread
+ * that launched the campaign (Runner invokes the tick callback on the
+ * calling thread, never on a worker), so lines cannot interleave.
+ * Terminal output is additionally rate-limited to ~10 updates/s so a
+ * many-thousand-job campaign does not spend its time rewriting `\r`
+ * lines.
+ */
+class ProgressMeter
+{
+  public:
+    ProgressMeter(bool quiet, const char *what, std::size_t total)
+        : quiet_(quiet), what_(what), total_(total)
+    {
+    }
+
+    /** Report `done` completed experiments (monotonic). */
+    void
+    tick(std::size_t done)
+    {
+        if (quiet_)
+            return;
+        if (isatty(fileno(stderr))) {
+            const auto now = std::chrono::steady_clock::now();
+            if (done != total_ && printed_ &&
+                now - last_ < std::chrono::milliseconds(100))
+                return;
+            last_ = now;
+            printed_ = true;
+            std::fprintf(stderr, "\r%s: %zu/%zu", what_, done, total_);
+            if (done == total_)
+                std::fprintf(stderr, "\n");
+        } else if (done == total_) {
+            // Redirected runs get one completion line per family, not
+            // a carriage-return ticker.
+            std::fprintf(stderr, "[%s: %zu experiments]\n", what_,
+                         total_);
+        }
+    }
+
+    /** Adapter for Runner's progress callback. */
+    Runner::Tick
+    asTick()
+    {
+        return [this](std::size_t done) { tick(done); };
+    }
+
+  private:
+    bool quiet_;
+    const char *what_;
+    std::size_t total_;
+    bool printed_ = false;
+    std::chrono::steady_clock::time_point last_{};
+};
+
 /** Command-line options shared by all benches. */
 struct BenchOptions
 {
@@ -63,9 +122,9 @@ struct BenchOptions
     std::shared_ptr<RunJournal> journal;
 
     /**
-     * Campaign failure ledger: quarantined cells recorded by
-     * campaignCell()/campaignCellAll(). Shared across copies of the
-     * options so every family of a bench feeds one count.
+     * Campaign failure ledger: quarantined cells counted by run() and
+     * runAll(). Shared across copies of the options so every family of
+     * a bench feeds one count.
      */
     std::shared_ptr<std::atomic<std::size_t>> failures =
         std::make_shared<std::atomic<std::size_t>>(0);
@@ -125,13 +184,43 @@ struct BenchOptions
     }
 
     /** A worker pool sized by --jobs (default: all host cores),
-     *  with the --job-timeout hang watchdog armed. */
+     *  with the --job-timeout hang watchdog armed, for work that is not
+     *  a campaign of ExperimentSpec cells. */
     Runner
     runner() const
     {
         Runner r(jobs);
         r.jobTimeout(jobTimeout);
         return r;
+    }
+
+    /**
+     * Resolve `cells` through runCampaign() on --jobs threads, with
+     * --job-timeout and the --resume journal, ticking a progress line
+     * named `what`. Returns every core's result of every cell, in cell
+     * order; each failed cell is added to the failure ledger.
+     */
+    std::vector<std::vector<RunResult>>
+    runAll(const char *what, const std::vector<ExperimentSpec> &cells) const
+    {
+        ProgressMeter meter(quiet, what, cells.size());
+        auto results = runCampaign(cells, IsolationMode::Thread,
+                                   {jobs, jobTimeout}, journal.get(), {},
+                                   "{}", meter.asTick());
+        for (const auto &cores : results)
+            if (cores.front().failed())
+                failures->fetch_add(1, std::memory_order_relaxed);
+        return results;
+    }
+
+    /** runAll(), keeping core 0's result of each cell. */
+    std::vector<RunResult>
+    run(const char *what, const std::vector<ExperimentSpec> &cells) const
+    {
+        std::vector<RunResult> out;
+        for (auto &cores : runAll(what, cells))
+            out.push_back(std::move(cores.front()));
+        return out;
     }
 
     /**
@@ -146,29 +235,6 @@ struct BenchOptions
                       {tool, machine.fingerprint(), params});
     }
 };
-
-/**
- * Run one fault-isolated campaign cell (all cores of one experiment)
- * through runCell(): served from the --resume journal when already
- * completed, otherwise tryRun — a fault becomes a quarantined failed()
- * placeholder and a failure-ledger increment instead of killing the
- * campaign — with a fresh success journaled durably before returning.
- */
-inline std::vector<RunResult>
-campaignCellAll(const BenchOptions &opt, const ExperimentSpec &spec)
-{
-    std::vector<RunResult> results = runCell(spec, opt.journal.get());
-    if (results.front().failed())
-        opt.failures->fetch_add(1, std::memory_order_relaxed);
-    return results;
-}
-
-/** Single-core campaignCellAll(): returns core 0's result. */
-inline RunResult
-campaignCell(const BenchOptions &opt, const ExperimentSpec &spec)
-{
-    return std::move(campaignCellAll(opt, spec).front());
-}
 
 /**
  * Finish a bench: publish the report (atomically, for --out),
@@ -208,64 +274,6 @@ guardedMain(int (*fn)(int, char **), int argc, char **argv)
         return 1;
     }
 }
-
-/**
- * Progress ticker on stderr (tables go to stdout).
- *
- * Exactly one writer: the meter is only ever ticked from the thread
- * that launched the campaign (Runner invokes the tick callback on the
- * calling thread, never on a worker), so lines cannot interleave.
- * Terminal output is additionally rate-limited to ~10 updates/s so a
- * many-thousand-job campaign does not spend its time rewriting `\r`
- * lines.
- */
-class ProgressMeter
-{
-  public:
-    ProgressMeter(const BenchOptions &opt, const char *what,
-                  std::size_t total)
-        : quiet_(opt.quiet), what_(what), total_(total)
-    {
-    }
-
-    /** Report `done` completed experiments (monotonic). */
-    void
-    tick(std::size_t done)
-    {
-        if (quiet_)
-            return;
-        if (isatty(fileno(stderr))) {
-            const auto now = std::chrono::steady_clock::now();
-            if (done != total_ && printed_ &&
-                now - last_ < std::chrono::milliseconds(100))
-                return;
-            last_ = now;
-            printed_ = true;
-            std::fprintf(stderr, "\r%s: %zu/%zu", what_, done, total_);
-            if (done == total_)
-                std::fprintf(stderr, "\n");
-        } else if (done == total_) {
-            // Redirected runs get one completion line per family, not
-            // a carriage-return ticker.
-            std::fprintf(stderr, "[%s: %zu experiments]\n", what_,
-                         total_);
-        }
-    }
-
-    /** Adapter for Runner's progress callback. */
-    Runner::Tick
-    asTick()
-    {
-        return [this](std::size_t done) { tick(done); };
-    }
-
-  private:
-    bool quiet_;
-    const char *what_;
-    std::size_t total_;
-    bool printed_ = false;
-    std::chrono::steady_clock::time_point last_{};
-};
 
 /** Results of the three experiment families over one zoo. */
 struct Campaign
@@ -349,15 +357,11 @@ isolationBaseline(const std::vector<WorkloadSpec> &zoo,
             return it->second;
     }
 
-    ProgressMeter meter(opt, "isolation", zoo.size());
-    auto results = opt.runner().map(
-        zoo.size(),
-        [&](std::size_t i) {
-            return campaignCell(opt, ExperimentSpec(machine)
-                                         .workload(zoo[i])
-                                         .params(opt.params));
-        },
-        meter.asTick());
+    std::vector<ExperimentSpec> cells;
+    for (const auto &spec : zoo)
+        cells.push_back(
+            ExperimentSpec(machine).workload(spec).params(opt.params));
+    auto results = opt.run("isolation", cells);
 
     std::lock_guard<std::mutex> g(mutex);
     return cache.emplace(key, std::move(results)).first->second;
@@ -377,25 +381,19 @@ runPInteFamily(Campaign &c, const MachineConfig &machine,
                const BenchOptions &opt)
 {
     const auto &sweep = standardPInduceSweep();
-    const std::size_t n = c.zoo.size();
-    const std::size_t k = sweep.size();
+    std::vector<ExperimentSpec> cells;
+    for (const auto &spec : c.zoo)
+        for (const double p : sweep)
+            cells.push_back(ExperimentSpec(machine)
+                                .workload(spec)
+                                .pinte(p)
+                                .params(opt.params));
+    auto flat = opt.run("pinte-sweep", cells);
 
-    ProgressMeter meter(opt, "pinte-sweep", n * k);
-    auto flat = opt.runner().map(
-        n * k,
-        [&](std::size_t idx) {
-            return campaignCell(opt, ExperimentSpec(machine)
-                                         .workload(c.zoo[idx / k])
-                                         .pinte(sweep[idx % k])
-                                         .params(opt.params));
-        },
-        meter.asTick());
-
-    c.pinte.assign(n, {});
-    for (std::size_t i = 0; i < n; ++i)
-        c.pinte[i].assign(
-            std::make_move_iterator(flat.begin() + i * k),
-            std::make_move_iterator(flat.begin() + (i + 1) * k));
+    c.pinte.clear();
+    for (auto it = flat.begin(); it != flat.end(); it += sweep.size())
+        c.pinte.emplace_back(std::make_move_iterator(it),
+                             std::make_move_iterator(it + sweep.size()));
 }
 
 /** Run every unique pair (the 2nd-Trace family). */
@@ -404,34 +402,26 @@ runPairFamily(Campaign &c, const MachineConfig &machine,
               const BenchOptions &opt)
 {
     const std::size_t n = c.zoo.size();
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    pairs.reserve(n * (n - 1) / 2);
+    std::vector<ExperimentSpec> cells;
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = i + 1; j < n; ++j)
-            pairs.emplace_back(i, j);
+            cells.push_back(ExperimentSpec(machine)
+                                .workload(c.zoo[i])
+                                .secondTrace(c.zoo[j])
+                                .params(opt.params));
+    auto results = opt.runAll("2nd-trace pairs", cells);
 
-    ProgressMeter meter(opt, "2nd-trace pairs", pairs.size());
-    auto results = opt.runner().map(
-        pairs.size(),
-        [&](std::size_t t) {
-            return campaignCellAll(
-                opt, ExperimentSpec(machine)
-                         .workload(c.zoo[pairs[t].first])
-                         .secondTrace(c.zoo[pairs[t].second])
-                         .params(opt.params));
-        },
-        meter.asTick());
-
-    // Scatter in submission order: identical to the serial nested
-    // loop, so downstream per-workload pools see the same run order.
+    // Scatter in cell order: identical to the serial nested loop, so
+    // downstream per-workload pools see the same run order.
     c.secondTrace.assign(n, {});
     c.pairCpu.clear();
-    for (std::size_t t = 0; t < pairs.size(); ++t) {
-        c.pairCpu.push_back(results[t][0].cpuSeconds);
-        c.secondTrace[pairs[t].first].push_back(
-            std::move(results[t][0]));
-        c.secondTrace[pairs[t].second].push_back(
-            std::move(results[t][1]));
+    auto pair = results.begin();
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j, ++pair) {
+            c.pairCpu.push_back((*pair)[0].cpuSeconds);
+            c.secondTrace[i].push_back(std::move((*pair)[0]));
+            c.secondTrace[j].push_back(std::move((*pair)[1]));
+        }
     }
 }
 

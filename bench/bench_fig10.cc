@@ -49,14 +49,31 @@ benchMain(int argc, char **argv)
     for (const char *name : names) {
         const WorkloadSpec spec = findWorkload(name);
 
+        // The campaign cells: (a)'s isolation baseline, then (b)'s
+        // isolation baseline and PInTE sweep on the halved-DRAM server
+        // model.
+        const MachineConfig pinte_machine =
+            MachineConfig::serverProxy(1, true);
+        const auto &sweep = standardPInduceSweep();
+        std::vector<ExperimentSpec> cells = {
+            ExperimentSpec(MachineConfig::serverProxy(1, false))
+                .workload(spec)
+                .params(opt.params),
+            ExperimentSpec(pinte_machine).workload(spec).params(opt.params)};
+        for (const double p : sweep)
+            cells.push_back(ExperimentSpec(pinte_machine)
+                                .workload(spec)
+                                .pinte(p)
+                                .params(opt.params));
+        const std::vector<RunResult> runs = opt.run(name, cells);
+        const RunResult &iso_real = runs[0], &iso_pinte = runs[1];
+
         // --- (a) real-system proxy: co-runs with way-masked LLC.
         // 14 of 16 ways for the benchmarks, 2 reserved (the paper
-        // reserves 1MB of 11MB for system processes via RDT).
+        // reserves 1MB of 11MB for system processes via RDT). A
+        // way-masked System is not an ExperimentSpec, so these run on
+        // a plain Runner.
         MachineConfig real = MachineConfig::serverProxy(2, false);
-        const RunResult iso_real = campaignCell(
-            opt, ExperimentSpec(MachineConfig::serverProxy(1, false))
-                     .workload(spec)
-                     .params(opt.params));
 
         struct Point
         {
@@ -67,7 +84,7 @@ benchMain(int argc, char **argv)
             if (peer.name != spec.name)
                 peers.push_back(peer);
 
-        ProgressMeter co_meter(opt, "co-runs", peers.size());
+        ProgressMeter co_meter(opt.quiet, "co-runs", peers.size());
         const std::vector<Point> real_pts = opt.runner().map(
             peers.size(),
             [&](std::size_t pi) {
@@ -106,25 +123,13 @@ benchMain(int argc, char **argv)
             co_meter.asTick());
 
         // --- (b) PInTE on the halved-DRAM server model.
-        const MachineConfig pinte_machine =
-            MachineConfig::serverProxy(1, true);
-        const RunResult iso_pinte =
-            campaignCell(opt, ExperimentSpec(pinte_machine)
-                                  .workload(spec)
-                                  .params(opt.params));
-        const auto &sweep = standardPInduceSweep();
-        const std::vector<Point> pinte_pts = opt.runner().map(
-            sweep.size(), [&](std::size_t k) {
-                const RunResult r =
-                    campaignCell(opt, ExperimentSpec(pinte_machine)
-                                          .workload(spec)
-                                          .pinte(sweep[k])
-                                          .params(opt.params));
-                return Point{
-                    100.0 * r.metrics.interferenceRate,
-                    100.0 * (r.metrics.ipc / iso_pinte.metrics.ipc -
-                             1.0)};
-            });
+        std::vector<Point> pinte_pts;
+        for (std::size_t k = 0; k < sweep.size(); ++k) {
+            const RunMetrics &m = runs[2 + k].metrics;
+            pinte_pts.push_back(
+                {100.0 * m.interferenceRate,
+                 100.0 * (m.ipc / iso_pinte.metrics.ipc - 1.0)});
+        }
 
         rep->note(spec.name + " (" + toString(spec.klass) + ")");
         TableData t("fig10_" + spec.name,

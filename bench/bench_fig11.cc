@@ -50,34 +50,25 @@ runRow(const StudyRow &row, const std::vector<WorkloadSpec> &zoo,
     const auto &sweep = standardPInduceSweep();
     const std::size_t nv = row.variants.size();
 
-    // results[k][v][w] = metrics at sweep point k, variant v, workload w
-    std::vector<std::vector<std::vector<RunMetrics>>> results(
-        sweep.size(),
-        std::vector<std::vector<RunMetrics>>(
-            nv, std::vector<RunMetrics>(zoo.size())));
-
     // Variant machines are value copies, so every (variant, workload,
-    // sweep-point) triple is one independent job.
-    std::vector<MachineConfig> machines;
-    for (std::size_t v = 0; v < nv; ++v) {
-        machines.push_back(MachineConfig::scaled());
-        row.variants[v].apply(machines.back());
-    }
+    // sweep-point) triple is one campaign cell.
     const std::size_t nw = zoo.size(), nk = sweep.size();
-    ProgressMeter meter(opt, row.title.c_str(), nv * nw * nk);
-    opt.runner().forEach(
-        nv * nw * nk,
-        [&](std::size_t idx) {
-            const std::size_t v = idx / (nw * nk);
-            const std::size_t w = (idx / nk) % nw;
-            const std::size_t k = idx % nk;
-            results[k][v][w] = campaignCell(opt, ExperimentSpec(machines[v])
-                                   .workload(zoo[w])
-                                   .pinte(sweep[k])
-                                   .params(opt.params))
-                                   .metrics;
-        },
-        meter.asTick());
+    std::vector<ExperimentSpec> cells;
+    for (std::size_t v = 0; v < nv; ++v) {
+        MachineConfig machine = MachineConfig::scaled();
+        row.variants[v].apply(machine);
+        for (const auto &spec : zoo)
+            for (const double p : sweep)
+                cells.push_back(ExperimentSpec(machine)
+                                    .workload(spec)
+                                    .pinte(p)
+                                    .params(opt.params));
+    }
+    const std::vector<RunResult> runs = opt.run(row.title.c_str(), cells);
+
+    // Metrics at sweep point k, variant v, workload w.
+    const auto at = [&](std::size_t k, std::size_t v, std::size_t w)
+        -> const RunMetrics & { return runs[(v * nw + w) * nk + k].metrics; };
 
     sink.note("--- " + row.title + " ---");
     sink.note("");
@@ -97,15 +88,15 @@ runRow(const StudyRow &row, const std::vector<WorkloadSpec> &zoo,
             double best = -1.0;
             std::size_t best_v = 0;
             for (std::size_t v = 0; v < nv; ++v) {
-                if (results[k][v][w].ipc > best) {
-                    best = results[k][v][w].ipc;
+                if (at(k, v, w).ipc > best) {
+                    best = at(k, v, w).ipc;
                     best_v = v;
                 }
             }
             win[best_v]++;
             int within = 0;
             for (std::size_t v = 0; v < nv; ++v)
-                if (results[k][v][w].ipc >= 0.99 * best)
+                if (at(k, v, w).ipc >= 0.99 * best)
                     ++within;
             if (within == static_cast<int>(nv))
                 ++tie_all;
@@ -140,8 +131,8 @@ runRow(const StudyRow &row, const std::vector<WorkloadSpec> &zoo,
                               sweep.size() - 1}) {
             double p = 0, s = 0;
             for (std::size_t w = 0; w < zoo.size(); ++w) {
-                p += row.primary(results[k][v][w]);
-                s += row.secondary(results[k][v][w]);
+                p += row.primary(at(k, v, w));
+                s += row.secondary(at(k, v, w));
             }
             p /= static_cast<double>(zoo.size());
             s /= static_cast<double>(zoo.size());

@@ -31,27 +31,23 @@ benchMain(int argc, char **argv)
     const auto &sweep = standardPInduceSweep();
     constexpr int reruns = 25;
 
-    // One independent job per (workload, config, seed) triple; the
-    // runner hands back (miss rate, IPC) in index order, so the
-    // reduction below is identical at any --jobs level.
+    // One cell per (workload, config, seed) triple, in that order; the
+    // re-runs of a workload replay one shared trace.
     const std::size_t nk = sweep.size();
-    const std::size_t total = zoo.size() * nk * reruns;
-    ProgressMeter meter(opt, "stability", total);
-    const auto flat = opt.runner().map(
-        total,
-        [&](std::size_t idx) {
-            const std::size_t w = idx / (nk * reruns);
-            const std::size_t k = (idx / reruns) % nk;
-            ExperimentParams params = opt.params;
-            params.runSeed = static_cast<std::uint64_t>(idx % reruns);
-            const RunResult r = campaignCell(opt, ExperimentSpec(machine)
-                                    .workload(zoo[w])
-                                    .pinte(sweep[k])
+    std::vector<ExperimentSpec> cells;
+    for (const auto &spec : zoo) {
+        for (const double p : sweep) {
+            for (int seed = 0; seed < reruns; ++seed) {
+                ExperimentParams params = opt.params;
+                params.runSeed = static_cast<std::uint64_t>(seed);
+                cells.push_back(ExperimentSpec(machine)
+                                    .workload(spec)
+                                    .pinte(p)
                                     .params(params));
-            return std::pair<double, double>(r.metrics.missRate,
-                                             r.metrics.ipc);
-        },
-        meter.asTick());
+            }
+        }
+    }
+    const std::vector<RunResult> flat = opt.run("stability", cells);
 
     // normstd[w][k] = (normStddev of MR, of IPC) over the 25 re-runs.
     std::vector<std::vector<std::pair<double, double>>> normstd(
@@ -60,10 +56,10 @@ benchMain(int argc, char **argv)
         for (std::size_t k = 0; k < nk; ++k) {
             std::vector<double> mr, ipc;
             for (int seed = 0; seed < reruns; ++seed) {
-                const auto &[m, i] =
-                    flat[(w * nk + k) * reruns + seed];
-                mr.push_back(m);
-                ipc.push_back(i);
+                const RunMetrics &m =
+                    flat[(w * nk + k) * reruns + seed].metrics;
+                mr.push_back(m.missRate);
+                ipc.push_back(m.ipc);
             }
             normstd[w].emplace_back(summarize(mr).normStddev(),
                                     summarize(ipc).normStddev());

@@ -84,26 +84,21 @@ benchMain(int argc, char **argv)
             if (peer.name != spec.name)
                 peers.push_back(peer);
 
-        // One job bag per example: the 12 sweep points followed by
-        // the (n-1) peer pairings, all independent.
-        const std::string what =
-            std::string("example ") + spec.name;
-        ProgressMeter meter(opt, what.c_str(),
-                            sweep.size() + peers.size());
-        auto runs = opt.runner().map(
-            sweep.size() + peers.size(),
-            [&](std::size_t i) {
-                if (i < sweep.size())
-                    return campaignCell(opt, ExperimentSpec(machine)
-                        .workload(spec)
-                        .pinte(sweep[i])
-                        .params(opt.params));
-                return campaignCell(opt, ExperimentSpec(machine)
-                    .workload(spec)
-                    .secondTrace(peers[i - sweep.size()])
-                    .params(opt.params));
-            },
-            meter.asTick());
+        // One campaign per example: the 12 sweep points followed by
+        // the (n-1) peer pairings.
+        std::vector<ExperimentSpec> cells;
+        for (const double p : sweep)
+            cells.push_back(ExperimentSpec(machine)
+                                .workload(spec)
+                                .pinte(p)
+                                .params(opt.params));
+        for (const auto &peer : peers)
+            cells.push_back(ExperimentSpec(machine)
+                                .workload(spec)
+                                .secondTrace(peer)
+                                .params(opt.params));
+        const std::string what = std::string("example ") + spec.name;
+        auto runs = opt.run(what.c_str(), cells);
 
         if (rep->wantsAllRuns())
             for (const auto &r : runs)

@@ -62,24 +62,25 @@ benchMain(int argc, char **argv)
     // handful of representative mixes. Costs are per-thread CPU time,
     // so the samples can run concurrently without polluting each
     // other's measurements.
+    const std::size_t samples = 6;
+    const auto avgCpu = [&](const std::string &what,
+                            const std::vector<ExperimentSpec> &cells) {
+        std::vector<double> costs;
+        for (const RunResult &r : opt.run(what.c_str(), cells))
+            costs.push_back(r.cpuSeconds);
+        return mean(costs);
+    };
     double base_cpu = 0.0;
     for (unsigned k = 1; k <= 4; ++k) {
-        const std::size_t samples = 6;
-        const std::string what = "mix-" + std::to_string(k);
-        ProgressMeter meter(opt, what.c_str(), samples);
-        const std::vector<double> costs = opt.runner().map(
-            samples,
-            [&](std::size_t s) {
-                std::vector<WorkloadSpec> mix;
-                for (unsigned j = 0; j < k; ++j)
-                    mix.push_back(zoo[(s * 7 + j * 3) % zoo.size()]);
-                return campaignCell(opt, ExperimentSpec(machine)
-                    .mix(mix)
-                    .params(opt.params))
-                    .cpuSeconds;
-            },
-            meter.asTick());
-        const double avg = mean(costs);
+        std::vector<ExperimentSpec> cells;
+        for (std::size_t s = 0; s < samples; ++s) {
+            std::vector<WorkloadSpec> mix;
+            for (unsigned j = 0; j < k; ++j)
+                mix.push_back(zoo[(s * 7 + j * 3) % zoo.size()]);
+            cells.push_back(
+                ExperimentSpec(machine).mix(mix).params(opt.params));
+        }
+        const double avg = avgCpu("mix-" + std::to_string(k), cells);
         if (k == 1)
             base_cpu = avg;
         t.addRow({std::to_string(k) + "-way mix",
@@ -89,20 +90,16 @@ benchMain(int argc, char **argv)
     }
 
     // PInTE: 12 configurations per workload, one core each.
-    {
-        const std::vector<double> costs = opt.runner().map(
-            std::size_t{6}, [&](std::size_t s) {
-                return campaignCell(opt, ExperimentSpec(machine)
-                    .workload(zoo[(s * 5) % zoo.size()])
-                    .pinte(0.1)
-                    .params(opt.params))
-                    .cpuSeconds;
-            });
-        const double avg = mean(costs);
-        t.addRow({"PInTE sweep", Cell::count(12 * zoo.size()),
-                  Cell::count(12 * paper_n), Cell::real(avg, 4),
-                  fmt(avg / base_cpu, 2) + "x"});
-    }
+    std::vector<ExperimentSpec> cells;
+    for (std::size_t s = 0; s < samples; ++s)
+        cells.push_back(ExperimentSpec(machine)
+                            .workload(zoo[(s * 5) % zoo.size()])
+                            .pinte(0.1)
+                            .params(opt.params));
+    const double avg = avgCpu("pinte", cells);
+    t.addRow({"PInTE sweep", Cell::count(12 * zoo.size()),
+              Cell::count(12 * paper_n), Cell::real(avg, 4),
+              fmt(avg / base_cpu, 2) + "x"});
     rep->table(t);
 
     rep->note("");

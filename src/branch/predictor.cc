@@ -53,7 +53,7 @@ putI16Vec(SnapshotWriter &w, const std::vector<std::int16_t> &v)
 void
 getI16Vec(SnapshotReader &r, std::vector<std::int16_t> &v)
 {
-    v.resize(r.get64());
+    v.resize(r.getCount(4));
     for (std::int16_t &x : v)
         x = static_cast<std::int16_t>(
             static_cast<std::int32_t>(r.get32()));
@@ -213,7 +213,7 @@ class Perceptron : public BranchPredictor
         history_ = r.get64();
         lastOutput_ = static_cast<int>(
             static_cast<std::int32_t>(r.get32()));
-        weights_.resize(r.get64());
+        weights_.resize(r.getCount(8));
         for (auto &row : weights_)
             getI16Vec(r, row);
     }

@@ -679,7 +679,7 @@ void
 Cache::loadState(SnapshotReader &r)
 {
     lines_ = r.getVec64();
-    owners_.resize(r.get64());
+    owners_.resize(r.getCount(4));
     for (CoreId &o : owners_)
         o = r.get32();
     validBits_ = r.getVec64();
@@ -687,7 +687,7 @@ Cache::loadState(SnapshotReader &r)
     prefetchedBits_ = r.getVec64();
     wayMasks_ = r.getVec64();
     occupancy_ = r.getVec64();
-    pending_.resize(r.get64());
+    pending_.resize(r.getCount(16));
     for (Pending &p : pending_) {
         p.line = r.get64();
         p.ready = r.get64();

@@ -1,6 +1,7 @@
 #include "atomic_file.hh"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -43,10 +44,20 @@ parentDir(const std::string &path)
     return path.substr(0, slash);
 }
 
+/** True when `path` (symlinks followed) exists and is not a regular
+ *  file: a device, a FIFO, a socket or a directory. */
+bool
+isSpecial(const std::string &path)
+{
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+}
+
 } // namespace
 
 AtomicFile::AtomicFile(std::string path)
-    : path_(std::move(path)), tmp_(path_ + ".tmp"), out_(tmp_)
+    : path_(std::move(path)),
+      tmp_(isSpecial(path_) ? path_ : path_ + ".tmp"), out_(tmp_)
 {
     if (!out_)
         throw ConfigError("cannot open '" + tmp_ + "' for writing",
@@ -57,7 +68,8 @@ AtomicFile::~AtomicFile()
 {
     if (!committed_) {
         out_.close();
-        std::remove(tmp_.c_str());
+        if (tmp_ != path_)
+            std::remove(tmp_.c_str());
     }
 }
 
@@ -75,6 +87,10 @@ AtomicFile::commit()
         throw SimError("injected fault: report-write at '" + path_ +
                            "'",
                        {"atomic_file", path_, ""});
+    if (tmp_ == path_) { // written in place: nothing to rename or sync
+        committed_ = true;
+        return;
+    }
     syncPath(tmp_, true);
     if (std::rename(tmp_.c_str(), path_.c_str()) != 0)
         throw SimError("cannot rename '" + tmp_ + "' to '" + path_ +

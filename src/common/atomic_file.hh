@@ -9,6 +9,10 @@
  * or nothing/the previous content. The temp file lives next to the
  * target (`path` + ".tmp") so the final rename stays within one
  * filesystem; an uncommitted temp is unlinked by the destructor.
+ *
+ * A target that exists and is not a regular file (symlinks followed:
+ * /dev/null, a FIFO, a terminal) is written in place instead: no
+ * temp, no rename over the node, no fsync of a device.
  */
 
 #ifndef PINTE_COMMON_ATOMIC_FILE_HH
@@ -27,8 +31,9 @@ class AtomicFile
   public:
     /**
      * Open `path` + ".tmp" for writing (truncating any stale temp
-     * left by a crashed predecessor).
-     * @throws ConfigError when the temp file cannot be created
+     * left by a crashed predecessor), or `path` itself when it is not
+     * a regular file.
+     * @throws ConfigError when the file cannot be opened
      */
     explicit AtomicFile(std::string path);
 
@@ -46,8 +51,9 @@ class AtomicFile
 
     /**
      * Flush, fsync, and atomically rename the temp file onto `path`
-     * (then fsync the containing directory so the rename is durable).
-     * Idempotent; a failure leaves the destination untouched.
+     * (then fsync the containing directory so the rename is durable);
+     * for an in-place target, flush and close only.
+     * Idempotent; a failure leaves a regular destination untouched.
      * @throws SimError on any I/O failure
      */
     void commit();

@@ -118,11 +118,20 @@ SnapshotReader::getDouble()
     return v;
 }
 
+std::size_t
+SnapshotReader::getCount(std::size_t elementBytes)
+{
+    const std::uint64_t n = get64();
+    if (remaining() / elementBytes < n)
+        throw SimError("snapshot payload truncated",
+                       {"snapshot", "", std::to_string(n)});
+    return static_cast<std::size_t>(n);
+}
+
 std::string
 SnapshotReader::getString()
 {
-    const std::uint64_t n = get64();
-    need(n);
+    const std::size_t n = getCount(1);
     std::string s(buf_.begin() + pos_, buf_.begin() + pos_ + n);
     pos_ += n;
     return s;
@@ -131,15 +140,10 @@ SnapshotReader::getString()
 std::vector<std::uint64_t>
 SnapshotReader::getVec64()
 {
-    const std::uint64_t n = get64();
-    // Bound by the remaining byte count before allocating, so a
-    // corrupt length can't drive a huge allocation.
-    if (remaining() / 8 < n)
-        throw SimError("snapshot payload truncated",
-                       {"snapshot", "", std::to_string(n)});
+    const std::size_t n = getCount(8);
     std::vector<std::uint64_t> v;
     v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i)
         v.push_back(get64());
     return v;
 }
@@ -147,8 +151,7 @@ SnapshotReader::getVec64()
 std::vector<std::uint8_t>
 SnapshotReader::getVec8()
 {
-    const std::uint64_t n = get64();
-    need(n);
+    const std::size_t n = getCount(1);
     std::vector<std::uint8_t> v(buf_.begin() + pos_,
                                 buf_.begin() + pos_ + n);
     pos_ += n;
@@ -158,11 +161,10 @@ SnapshotReader::getVec8()
 std::vector<bool>
 SnapshotReader::getVecBool()
 {
-    const std::uint64_t n = get64();
-    need(n);
+    const std::size_t n = getCount(1);
     std::vector<bool> v;
     v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i)
         v.push_back(get8() != 0);
     return v;
 }

@@ -93,6 +93,13 @@ class SnapshotReader
     std::vector<std::uint8_t> getVec8();
     std::vector<bool> getVecBool();
 
+    /**
+     * Read a u64 element count and check that that many elements of at
+     * least `elementBytes` bytes each fit in the bytes left, so a
+     * corrupt count throws instead of driving a huge allocation.
+     */
+    std::size_t getCount(std::size_t elementBytes);
+
     /** True when every byte has been consumed. */
     bool exhausted() const { return pos_ == buf_.size(); }
 

@@ -332,8 +332,8 @@ Core::loadState(SnapshotReader &r)
     retiredTotal_ = r.get64();
     recordsConsumed_ = r.get64();
     rob_.clear();
-    const std::uint64_t rob_n = r.get64();
-    for (std::uint64_t i = 0; i < rob_n; ++i)
+    const std::size_t rob_n = r.getCount(8);
+    for (std::size_t i = 0; i < rob_n; ++i)
         rob_.push_back(r.get64());
     for (Cycle &c : regReady_)
         c = r.get64();

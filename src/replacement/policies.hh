@@ -495,10 +495,10 @@ class NmruPolicy final : public ReplacementPolicy
     loadState(SnapshotReader &r) override
     {
         loadRng(r, rng_);
-        mru_.resize(r.get64());
+        mru_.resize(r.getCount(4));
         for (unsigned &m : mru_)
             m = r.get32();
-        cursor_.resize(r.get64());
+        cursor_.resize(r.getCount(4));
         for (unsigned &c : cursor_)
             c = r.get32();
     }

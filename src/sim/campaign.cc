@@ -4,7 +4,6 @@
 
 #include "common/error.hh"
 #include "common/json.hh"
-#include "sim/runner.hh"
 
 namespace pinte
 {
@@ -64,56 +63,41 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
     return traces;
 }
 
-std::vector<RunResult>
-runCell(const ExperimentSpec &cell, RunJournal *journal)
-{
-    const std::size_t ncores =
-        std::max<std::size_t>(1, cell.workloads().size());
-    std::vector<RunResult> results;
-    if (journal) {
-        for (std::size_t i = 0; i < ncores; ++i) {
-            const RunResult *done = journal->find(cellKey(cell, i));
-            if (!done)
-                break;
-            results.push_back(*done);
-        }
-        if (results.size() == ncores)
-            return results;
-        results.clear();
-    }
-    for (RunOutcome &o : cell.tryRunAll())
-        results.push_back(std::move(o.result));
-    if (journal)
-        for (std::size_t i = 0; i < results.size(); ++i)
-            journal->record(cellKey(cell, i), results[i]);
-    return results;
-}
-
-std::vector<RunResult>
+std::vector<std::vector<RunResult>>
 runCampaign(const std::vector<ExperimentSpec> &cells,
             IsolationMode backend, const ProcOptions &proc,
             RunJournal *journal, const BrokerOptions &broker,
-            const std::string &spoolSpec)
+            const std::string &spoolSpec, const Runner::Tick &tick)
 {
     const std::size_t n = cells.size();
-    std::vector<RunResult> results(n);
+    const auto cores = [&](std::size_t i) {
+        return std::max<std::size_t>(1, cells[i].workloads().size());
+    };
+    std::vector<std::vector<RunResult>> results(n);
     std::vector<std::string> keys(n);
-    std::vector<char> served(n, 0);
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i) {
         keys[i] = cellKey(cells[i]);
-        if (const RunResult *done =
-                journal ? journal->find(keys[i]) : nullptr) {
-            results[i] = *done;
-            served[i] = 1;
-        } else {
+        if (backend != IsolationMode::Thread && cores(i) > 1)
+            throw ConfigError(std::string("the ") + toString(backend) +
+                                  " backend runs single-core cells only",
+                              {"campaign", broker.spool, keys[i]});
+        for (std::size_t c = 0; journal && c < cores(i); ++c) {
+            const RunResult *done = journal->find(cellKey(cells[i], c));
+            if (!done)
+                break;
+            results[i].push_back(*done);
+        }
+        if (results[i].size() != cores(i)) {
+            results[i].clear();
             pending.push_back(i);
         }
     }
     // Merge on arrival: a campaign interrupted at any point resumes.
-    const auto arrived = [&](std::size_t i, const RunResult &r) {
+    const auto arrived = [&](std::size_t i, const RunResult &r,
+                             std::size_t core) {
         if (journal)
-            journal->record(keys[i], r);
+            journal->record(cellKey(cells[i], core), r);
     };
     // Cells that replay one stream share its trace in this address
     // space (a process worker: in its own forked copy). A cell drops
@@ -123,29 +107,42 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
     std::vector<TraceStores> traces;
     if (backend != IsolationMode::Spool)
         traces = sharedTraces(cells, pending);
-    const auto job = [&](std::size_t j) {
-        const TraceStores mine = std::move(traces[j]);
-        return cells[pending[j]].tryRun(mine).result;
-    };
 
     switch (backend) {
       case IsolationMode::Thread: {
+        // Progress counts journal hits as resolved cells.
+        const std::size_t hits = n - pending.size();
+        if (tick && hits)
+            tick(hits);
         Runner runner(proc.workers);
         runner.jobTimeout(proc.jobTimeout);
-        runner.forEach(pending.size(), [&](std::size_t j) {
-            results[pending[j]] = job(j);
-            arrived(pending[j], results[pending[j]]);
-        });
+        runner.forEach(
+            pending.size(),
+            [&](std::size_t j) {
+                const std::size_t i = pending[j];
+                const TraceStores mine = std::move(traces[j]);
+                for (RunOutcome &o : cells[i].tryRunAll(mine))
+                    results[i].push_back(std::move(o.result));
+                for (std::size_t c = 0; c < results[i].size(); ++c)
+                    arrived(i, results[i][c], c);
+            },
+            tick ? Runner::Tick([&](std::size_t done) { tick(hits + done); })
+                 : Runner::Tick());
         break;
       }
       case IsolationMode::Process: {
         const auto fresh = runProcessCampaign(
-            pending.size(), job, proc,
+            pending.size(),
+            [&](std::size_t j) {
+                const TraceStores mine = std::move(traces[j]);
+                return cells[pending[j]].tryRun(mine).result;
+            },
+            proc,
             [&](std::size_t j, const RunResult &r) {
-                arrived(pending[j], r);
+                arrived(pending[j], r, 0);
             });
         for (std::size_t j = 0; j < pending.size(); ++j)
-            results[pending[j]] = fresh[j];
+            results[pending[j]] = {fresh[j]};
         break;
       }
       case IsolationMode::Spool: {
@@ -157,22 +154,27 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             if (c.machineConfig().fingerprint() != fp)
                 throw ConfigError("a spool campaign runs on one machine",
                                   {"campaign", broker.spool, ""});
-        results = runSpoolBroker(
+        const std::vector<RunResult> fresh = runSpoolBroker(
             campaignDocument(fp, spoolSpec, keys), fp, keys, broker,
-            arrived, [&](std::size_t i) {
-                return served[i] ? &results[i] : nullptr;
+            [&](std::size_t i, const RunResult &r) { arrived(i, r, 0); },
+            [&](std::size_t i) {
+                return results[i].empty() ? nullptr : &results[i].front();
             });
+        for (std::size_t i = 0; i < n; ++i)
+            results[i] = {fresh[i]};
         break;
       }
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        RunResult &r = results[i];
-        if (!r.workload.empty())
-            continue;
         const auto &w = cells[i].workloads();
-        r.workload = w.empty() ? std::string("?") : w.front().name;
-        r.contention = cells[i].contention();
+        for (std::size_t c = 0; c < results[i].size(); ++c) {
+            RunResult &r = results[i][c];
+            if (!r.workload.empty())
+                continue;
+            r.workload = c < w.size() ? w[c].name : std::string("?");
+            r.contention = cells[i].contention(c);
+        }
     }
     return results;
 }

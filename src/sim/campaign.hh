@@ -4,15 +4,11 @@
  *
  * A campaign is a vector of cells (ExperimentSpecs). Every campaign in
  * the repository — pintesim's sweep, its --policies grid, the spool
- * worker's rebuild and the bench families — resolves a cell the same
- * way: a --resume journal hit is served without simulating, anything
- * else runs fault-isolated (a fault becomes a quarantined failed()
- * cell), and each success is journaled durably as it arrives, under
- * the key cellKey() derives (sim/journal.hh).
- *
- * runCampaign() does that for a whole grid on one of the three
- * backends IsolationMode names; runCell() does it for one cell on the
- * calling thread, for callers that schedule cells themselves.
+ * worker's rebuild and every bench family — resolves its cells through
+ * runCampaign(): a --resume journal hit is served without simulating,
+ * anything else runs fault-isolated (a fault becomes a quarantined
+ * failed() cell), and each success is journaled durably as it arrives,
+ * under the keys cellKey() derives (sim/journal.hh).
  */
 
 #ifndef PINTE_SIM_CAMPAIGN_HH
@@ -24,25 +20,17 @@
 #include "sim/broker.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
+#include "sim/runner.hh"
 #include "sim/worker_proc.hh"
 
 namespace pinte
 {
 
 /**
- * Resolve one cell on the calling thread, all cores: from `journal`
- * when every core is journaled (cores complete atomically), otherwise
- * by tryRunAll(), journaling the cores of a successful run.
- * @param journal the --resume journal, or nullptr
- */
-std::vector<RunResult> runCell(const ExperimentSpec &cell,
-                               RunJournal *journal);
-
-/**
  * One TraceStore per per-core stream that at least two of the cells
  * `cells[pending[j]]` read, handed to those cells core by core; other
  * cores get no entry and run a live generator. Indexed like `pending`;
- * pass element j to cells[pending[j]].tryRun(). Stores are lazy, so
+ * pass element j to cells[pending[j]].tryRunAll(). Stores are lazy, so
  * building them does no trace work.
  */
 std::vector<TraceStores>
@@ -50,26 +38,31 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
              const std::vector<std::size_t> &pending);
 
 /**
- * Run a campaign and return core 0's result of every cell, in cell
- * order. Journal hits are served up front; the pending cells run on
- * `backend`:
+ * Run a campaign and return every core's result of every cell, in cell
+ * order (cell -> core). A cell is served from `journal` when every one
+ * of its cores is journaled (cores complete atomically); the pending
+ * cells run on `backend`:
  *  - Thread: a Runner of `proc.workers` threads, `proc.jobTimeout`
- *    armed as the cooperative watchdog;
+ *    armed as the cooperative watchdog; a cell runs tryRunAll().
+ *    `tick` gets the count of resolved cells, journal hits included,
+ *    on the calling thread;
  *  - Process: runProcessCampaign(`proc`);
  *  - Spool: runSpoolBroker(`broker`) over a campaign document that
  *    carries the cells' machine fingerprint, `spoolSpec` (the JSON a
  *    spool worker rebuilds the grid from) and every cell's key. All
  *    cells must share one machine fingerprint.
- * A cell a backend quarantines without labels gets its cell's
- * workload and contention labels.
+ * The process and spool backends ship core 0 only, so they refuse a
+ * multi-core cell with a ConfigError. Every core of a success is
+ * journaled under cellKey(cell, core). A core a backend quarantines
+ * without labels gets its cell's workload and contention labels.
  * @param journal the --resume journal, or nullptr
  */
-std::vector<RunResult> runCampaign(const std::vector<ExperimentSpec> &cells,
-                                   IsolationMode backend,
-                                   const ProcOptions &proc,
-                                   RunJournal *journal = nullptr,
-                                   const BrokerOptions &broker = {},
-                                   const std::string &spoolSpec = "{}");
+std::vector<std::vector<RunResult>>
+runCampaign(const std::vector<ExperimentSpec> &cells, IsolationMode backend,
+            const ProcOptions &proc, RunJournal *journal = nullptr,
+            const BrokerOptions &broker = {},
+            const std::string &spoolSpec = "{}",
+            const Runner::Tick &tick = {});
 
 } // namespace pinte
 

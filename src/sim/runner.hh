@@ -43,7 +43,7 @@ namespace pinte
 /**
  * Aggregate of every exception thrown across one Runner batch.
  *
- * When more than one job of a forEach/map/run call throws, the Runner
+ * When more than one job of a forEach/map call throws, the Runner
  * collects them all and raises a single MultiJobError whose what()
  * summarizes the first few failures; failures() exposes the full
  * (index, message) list sorted by job index. A batch with exactly one
@@ -131,20 +131,6 @@ class Runner
         forEach(
             n, [&](std::size_t i) { out[i] = fn(i); }, tick);
         return out;
-    }
-
-    /**
-     * Execute a vector of pre-built jobs (closures producing T) and
-     * return their results in submission order.
-     */
-    template <typename T>
-    std::vector<T>
-    run(const std::vector<std::function<T()>> &batch,
-        const Tick &tick = {}) const
-    {
-        return map(
-            batch.size(), [&](std::size_t i) { return batch[i](); },
-            tick);
     }
 
   private:

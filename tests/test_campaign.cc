@@ -1,9 +1,10 @@
 /**
  * @file
  * The one campaign path (sim/campaign.hh): cellKey() reproduces the
- * journal keys earlier releases wrote, and runCampaign() resumes a
+ * journal keys earlier releases wrote, runCampaign() resumes a
  * half-journaled sweep on every backend without simulating a
- * journaled cell again.
+ * journaled cell again, and it resolves every core of multi-core
+ * cells on threads (the process and spool backends refuse them).
  *
  * "Not simulated again" is proven with the `job` fault site, which
  * fails the nth simulation job one executor starts (common/fault.hh).
@@ -32,6 +33,8 @@
 #include "sim/options.hh"
 #include "sim/shard_queue.hh"
 #include "sim/sink.hh"
+
+#include "expect_error.hh"
 
 namespace pinte
 {
@@ -187,7 +190,7 @@ expectHalfJournaledResume(IsolationMode backend)
     wopt.fingerprint = cells.front().machineConfig().fingerprint();
     wopt.idlePoll = 0.01;
 
-    std::vector<RunResult> resumed;
+    std::vector<std::vector<RunResult>> resumed;
     {
         FaultScope fault("job:7");
         std::thread worker;
@@ -210,9 +213,10 @@ expectHalfJournaledResume(IsolationMode backend)
 
     ASSERT_EQ(resumed.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        EXPECT_FALSE(resumed[i].failed())
-            << "cell " << i << ": " << resumed[i].error.message;
-        EXPECT_EQ(canonical(resumed[i]), canonical(fresh[i]))
+        ASSERT_EQ(resumed[i].size(), 1u) << "cell " << i;
+        EXPECT_FALSE(resumed[i][0].failed())
+            << "cell " << i << ": " << resumed[i][0].error.message;
+        EXPECT_EQ(canonical(resumed[i][0]), canonical(fresh[i]))
             << "cell " << i;
     }
     EXPECT_EQ(journal.size(), cells.size());
@@ -240,38 +244,114 @@ TEST(Campaign, QuarantinedCellCarriesItsLabels)
     const std::vector<ExperimentSpec> cells = sweep();
     ProcOptions proc;
     proc.workers = 2;
-    std::vector<RunResult> results;
+    std::vector<std::vector<RunResult>> results;
     {
         FaultScope fault("worker-crash:2");
         results = runCampaign(cells, IsolationMode::Process, proc);
     }
     ASSERT_EQ(results.size(), cells.size());
-    ASSERT_TRUE(results[1].failed());
-    EXPECT_EQ(results[1].error.signal, SIGABRT);
-    EXPECT_EQ(results[1].workload, "416.gamess");
-    EXPECT_EQ(results[1].contention, cells[1].contention());
-    EXPECT_FALSE(results[0].failed());
+    ASSERT_EQ(results[1].size(), 1u);
+    ASSERT_TRUE(results[1][0].failed());
+    EXPECT_EQ(results[1][0].error.signal, SIGABRT);
+    EXPECT_EQ(results[1][0].workload, "416.gamess");
+    EXPECT_EQ(results[1][0].contention, cells[1].contention());
+    EXPECT_FALSE(results[0][0].failed());
 }
 
-TEST(Campaign, RunCellServesEveryCoreOfAJournaledPair)
+/** 416.gamess under a 470.lbm 2nd-Trace co-runner. */
+ExperimentSpec
+gamessPair()
 {
     ExperimentSpec pair(MachineConfig::scaled());
     pair.workload(findWorkload("416.gamess"))
         .secondTrace(findWorkload("470.lbm"))
         .params(quickParams());
+    return pair;
+}
+
+TEST(Campaign, ServesEveryCoreOfAJournaledPair)
+{
+    const std::vector<ExperimentSpec> cells = {gamessPair()};
     const std::string root = scratch("pair");
     std::filesystem::create_directories(root);
     RunJournal journal(root + "/journal.jsonl");
+    ProcOptions proc;
+    proc.workers = 1;
 
-    const std::vector<RunResult> first = runCell(pair, &journal);
-    ASSERT_EQ(first.size(), 2u);
+    const auto first =
+        runCampaign(cells, IsolationMode::Thread, proc, &journal);
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(first[0].size(), 2u);
     EXPECT_EQ(journal.size(), 2u);
 
     FaultScope fault("job:1"); // a simulated cell would fail
-    const std::vector<RunResult> again = runCell(pair, &journal);
-    ASSERT_EQ(again.size(), 2u);
+    const auto again =
+        runCampaign(cells, IsolationMode::Thread, proc, &journal);
+    ASSERT_EQ(again.size(), 1u);
+    ASSERT_EQ(again[0].size(), 2u);
     for (std::size_t i = 0; i < 2; ++i)
-        EXPECT_EQ(canonical(again[i]), canonical(first[i]));
+        EXPECT_EQ(canonical(again[0][i]), canonical(first[0][i]));
+}
+
+TEST(Campaign, ProcessAndSpoolBackendsRefuseMultiCoreCells)
+{
+    // Both ship core 0 only, so a pair would lose its co-runner's
+    // result; they refuse before starting any worker.
+    const std::vector<ExperimentSpec> cells = {sweep().front(),
+                                               gamessPair()};
+    ProcOptions proc;
+    proc.workers = 1;
+    BrokerOptions broker;
+    broker.spool = scratch("multicore") + "/spool";
+    EXPECT_ERROR(runCampaign(cells, IsolationMode::Process, proc),
+                 ConfigError, "process backend");
+    EXPECT_ERROR(
+        runCampaign(cells, IsolationMode::Spool, proc, nullptr, broker),
+        ConfigError, "spool backend");
+    EXPECT_FALSE(std::filesystem::exists(broker.spool));
+}
+
+TEST(Campaign, PairAndMixGridIsEqualAtOneAndFourWorkers)
+{
+    // Pairs and a 3-way mix that share per-core streams with each
+    // other and with an isolation cell, so the grid replays shared
+    // trace stores; every core must equal a live-generator run.
+    const WorkloadSpec gamess = findWorkload("416.gamess");
+    const WorkloadSpec lbm = findWorkload("470.lbm");
+    const WorkloadSpec soplex = findWorkload("450.soplex");
+    std::vector<ExperimentSpec> cells;
+    for (const auto &[a, b] : {std::pair{gamess, lbm}, {gamess, soplex},
+                               {soplex, lbm}, {lbm, soplex}}) {
+        ExperimentSpec pair(MachineConfig::scaled());
+        pair.workload(a).secondTrace(b).params(quickParams());
+        cells.push_back(pair);
+    }
+    ExperimentSpec mix(MachineConfig::scaled());
+    mix.mix({gamess, lbm, soplex}).params(quickParams());
+    cells.push_back(mix);
+    ExperimentSpec alone(MachineConfig::scaled());
+    alone.workload(gamess).params(quickParams());
+    cells.push_back(alone);
+
+    std::vector<std::vector<std::string>> live;
+    for (const ExperimentSpec &c : cells) {
+        live.emplace_back();
+        for (const RunResult &r : c.runAll())
+            live.back().push_back(canonical(r));
+    }
+    for (const unsigned workers : {1u, 4u}) {
+        ProcOptions proc;
+        proc.workers = workers;
+        const auto results = runCampaign(cells, IsolationMode::Thread, proc);
+        ASSERT_EQ(results.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            ASSERT_EQ(results[i].size(), live[i].size()) << "cell " << i;
+            for (std::size_t c = 0; c < live[i].size(); ++c)
+                EXPECT_EQ(canonical(results[i][c]), live[i][c])
+                    << "cell " << i << " core " << c << " at " << workers
+                    << " workers";
+        }
+    }
 }
 
 TEST(Json, UnsignedIntegersRoundTripExactly)

@@ -153,17 +153,6 @@ TEST(Runner, MapReturnsResultsInSubmissionOrder)
         EXPECT_EQ(out[i], i * 31 + 7);
 }
 
-TEST(Runner, RunExecutesPrebuiltBatchInOrder)
-{
-    std::vector<std::function<int()>> batch;
-    for (int i = 0; i < 37; ++i)
-        batch.push_back([i] { return i * i; });
-    const auto out = Runner(4).run(batch);
-    ASSERT_EQ(out.size(), batch.size());
-    for (int i = 0; i < 37; ++i)
-        EXPECT_EQ(out[i], i * i);
-}
-
 TEST(Runner, TickIsMonotoneReachesNAndRunsOnCallingThread)
 {
     const std::thread::id caller = std::this_thread::get_id();

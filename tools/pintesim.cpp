@@ -695,9 +695,10 @@ pinteMain(int argc, char **argv)
     bopt.leaseTtl = sc.leaseTtl;
     bopt.maxRetries = max_retries;
     bopt.shardSize = shard_size;
-    const std::vector<RunResult> results =
-        runCampaign(cells, iso_mode, popt, journal.get(), bopt,
-                    sweepConfigToJson(sc));
+    std::vector<RunResult> results;
+    for (auto &cell : runCampaign(cells, iso_mode, popt, journal.get(),
+                                  bopt, sweepConfigToJson(sc)))
+        results.push_back(std::move(cell.front()));
 
     std::size_t failed = 0;
     if (grid_policies.empty()) {
