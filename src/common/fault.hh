@@ -53,6 +53,13 @@
  *                     the partial-frame stall case: the parent must
  *                     keep polling (reassembly buffer), enforce the
  *                     deadline, and record the torn bytes
+ *
+ * The spool broker's forked workers (sim/broker.hh) honour the same
+ * cell-keyed sites except worker-garbage. One more worker site is a
+ * plain hit-counted one: "worker-start:1" makes every worker the spool
+ * broker forks exit with status 3 before its first claim (each fork
+ * starts from the broker's count, in which the site never hit), as a
+ * worker that cannot start would.
  */
 
 #ifndef PINTE_COMMON_FAULT_HH

@@ -6,10 +6,14 @@
 #include <set>
 #include <sstream>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -97,28 +101,6 @@ scanStreamOnce(const Spool &spool, const std::string &id,
     }
 }
 
-/** Spawn one local worker process; -1 on failure. execvp so a broker
- *  invoked by bare name (PATH lookup, argv[0] not a path) still
- *  reaches its own binary; exit 127 marks an exec that failed. */
-pid_t
-spawnLocalWorker(const std::vector<std::string> &argv)
-{
-    std::vector<char *> av;
-    av.reserve(argv.size() + 1);
-    for (const std::string &a : argv)
-        av.push_back(const_cast<char *>(a.c_str()));
-    av.push_back(nullptr);
-    std::fflush(nullptr);
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        return -1;
-    if (pid == 0) {
-        ::execvp(av[0], av.data());
-        std::_Exit(127);
-    }
-    return pid;
-}
-
 /** How a reaped child ended, for the pre-claim guard's messages. */
 std::string
 describeExit(int status)
@@ -130,14 +112,103 @@ describeExit(int status)
     return "wait status " + std::to_string(status);
 }
 
+/** A local worker the broker forked. Closing `wake`, the broker's end
+ *  of the worker's own socket pair, tells it the campaign is over
+ *  (EOF); a byte sent there makes it rescan. */
+struct LocalWorker
+{
+    pid_t pid = -1;
+    int wake = -1;
+};
+
+/** A nonblocking Unix socket pair, the wake channel between the broker
+ *  and its forked workers: a peer that died makes a send fail with
+ *  EPIPE instead of raising SIGPIPE, and a closed peer reads as EOF. */
+bool
+openChannel(int (&fd)[2])
+{
+    return ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        0, fd) == 0;
+}
+
+/** A channel whose ends close with it. */
+struct Channel
+{
+    int fd[2] = {-1, -1};
+    Channel() = default;
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
+    ~Channel()
+    {
+        for (const int f : fd)
+            if (f >= 0)
+                ::close(f);
+    }
+};
+
+/** Send one byte. A full channel already holds a wake nobody has
+ *  read, and a dead peer needs none, so a failed send loses nothing. */
+void
+poke(int fd)
+{
+    const char byte = 0;
+    [[maybe_unused]] const ::ssize_t n = ::send(fd, &byte, 1, MSG_NOSIGNAL);
+}
+
+/** Empty a nonblocking channel; false once its peer has closed it. */
+bool
+drainChannel(int fd)
+{
+    char buf[256];
+    for (;;) {
+        const ::ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n > 0 || (n < 0 && errno == EINTR))
+            continue;
+        return n < 0 && errno == EAGAIN;
+    }
+}
+
+/** Where this process starts its shard scans, in [0, n): a
+ *  multiplicative hash of its host and pid, so workers forked one
+ *  after another (consecutive pids) start far apart. */
+std::size_t
+scanOffset(std::size_t n)
+{
+    const std::uint64_t id = shardIdHash(spoolHostName()) +
+                             static_cast<std::uint64_t>(::getpid());
+    const std::uint64_t z = id * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(((z >> 32) * n) >> 32);
+}
+
+/**
+ * spoolWorkerStep(), sending a byte to `notify` (the broker's channel,
+ * for a forked worker; -1 for none) after each record and done marker
+ * it writes.
+ */
+bool workShard(Spool &spool, const std::vector<std::string> &cellKeys,
+               const ProcJobFn &fn, const SpoolWorkerOptions &opt,
+               int notify);
+
+/**
+ * Body of a worker the broker forked: run shards until EOF on `wake`
+ * says the campaign is over, or the broker is gone, then _exit. It
+ * arms no file watches: the broker pokes `wake` when a shard turns
+ * claimable, and this worker pokes `notify` after each record.
+ */
+[[noreturn]] void runLocalWorker(const std::string &root,
+                                 const std::vector<std::string> &cellKeys,
+                                 const ProcJobFn &fn,
+                                 const SpoolWorkerOptions &opt, int wake,
+                                 int notify);
+
 } // namespace
 
 std::vector<RunResult>
 runSpoolBroker(const std::string &campaignJson,
                const std::string &fingerprint,
                const std::vector<std::string> &cellKeys,
-               const BrokerOptions &opt, const ProcResultFn &onResult,
-               const BrokerLookupFn &lookup)
+               const BrokerOptions &opt, const ProcJobFn &fn,
+               const ProcResultFn &onResult, const BrokerLookupFn &lookup)
 {
     const std::size_t n = cellKeys.size();
     std::vector<RunResult> results(n);
@@ -249,15 +320,33 @@ runSpoolBroker(const std::string &campaignJson,
 
     std::set<std::string> retired;
     StreamScanner scanner(spool);
-    // Armed before the first scan: whatever a worker writes from here
-    // on either shows in a scan or wakes the wait that follows it.
-    SpoolWaiter waiter(opt.spool);
-    std::vector<pid_t> children;
+    // Local workers are forked here and wake this loop through pidfds
+    // and the `records` channel. File watches are armed only when a
+    // worker this broker did not fork can exist, before the scan that
+    // must see its writes.
+    SpoolWaiter waiter;
+    const bool forking = opt.workers > 0 && fn;
+    if (!forking)
+        waiter.watchFiles(opt.spool);
+    // The channel every forked worker pokes after each record and done
+    // marker; end 0 wakes the loop below.
+    Channel records;
+    if (forking) {
+        if (!openChannel(records.fd))
+            throw SimError(std::string("spool record channel: ") +
+                               std::strerror(errno),
+                           {"broker", opt.spool, ""});
+        waiter.watchFd(records.fd[0]);
+    }
+    SpoolWorkerOptions wopt;
+    wopt.leaseTtl = opt.leaseTtl;
+    wopt.fingerprint = fingerprint;
+    std::vector<LocalWorker> children;
     std::set<pid_t> deadChildren;
     // Local pids ever seen holding a lease. A child that dies without
-    // one (exec failure, config skew, a bad spool) died before
-    // claiming; a streak of those means respawning is a fork storm,
-    // not capacity.
+    // one (a broken spool, resource exhaustion) died before claiming;
+    // a streak of those means respawning is a fork storm, not
+    // capacity.
     std::set<pid_t> claimedPids;
     std::vector<std::pair<pid_t, int>> freshDeaths; // pid, wait status
     unsigned preClaimStreak = 0;
@@ -266,18 +355,28 @@ runSpoolBroker(const std::string &campaignJson,
     double lastProgress = 0.0; // while spawnBroken: last lease or merge
     const std::string myHost = spoolHostName();
 
+    const auto isChild = [&](pid_t pid) {
+        return std::any_of(children.begin(), children.end(),
+                           [&](const LocalWorker &c) { return c.pid == pid; });
+    };
+    const auto pokeChildren = [&]() {
+        for (const LocalWorker &c : children)
+            poke(c.wake);
+    };
     const auto reapChildren = [&](bool block) {
         for (auto it = children.begin(); it != children.end();) {
             int status = 0;
-            const pid_t r = ::waitpid(*it, &status, block ? 0 : WNOHANG);
-            if (r == *it || (r < 0 && errno != EINTR)) {
+            const pid_t r = ::waitpid(it->pid, &status, block ? 0 : WNOHANG);
+            if (r == it->pid || (r < 0 && errno != EINTR)) {
                 // Remember the corpse: a lease this pid holds can be
                 // reclaimed immediately instead of waiting out its
                 // deadline (local children only — remote worker
                 // deaths are visible through lease expiry alone).
-                deadChildren.insert(*it);
-                freshDeaths.emplace_back(*it, status);
-                waiter.forgetChild(*it);
+                deadChildren.insert(it->pid);
+                freshDeaths.emplace_back(it->pid, status);
+                waiter.forgetChild(it->pid);
+                if (it->wake >= 0)
+                    ::close(it->wake);
                 it = children.erase(it);
             } else {
                 ++it;
@@ -285,8 +384,8 @@ runSpoolBroker(const std::string &campaignJson,
         }
     };
     const auto killChildren = [&]() {
-        for (const pid_t pid : children)
-            ::kill(pid, SIGKILL);
+        for (const LocalWorker &c : children)
+            ::kill(c.pid, SIGKILL);
         reapChildren(true);
     };
 
@@ -391,19 +490,39 @@ runSpoolBroker(const std::string &campaignJson,
 
     // Keep local worker capacity up: crashed workers respawn while work
     // remains. After a pre-claim death, one unproven child at a time,
-    // so a broken argv or config costs three spawns, not three rounds.
+    // so a worker that cannot start costs three forks, not three
+    // rounds. A child runs the cells from this process's memory and
+    // closes every descriptor of the broker's it inherited: without
+    // the broker's ends of its siblings' wake channels, each child
+    // sees EOF on its own once the broker closes its end.
     const auto topUpWorkers = [&]() {
-        if (opt.workerArgv.empty())
-            return;
-        while (children.size() < opt.workers) {
+        while (forking && children.size() < opt.workers) {
             if (preClaimStreak > 0 &&
                 std::any_of(children.begin(), children.end(),
-                            [&](pid_t c) { return !claimedPids.count(c); }))
+                            [&](const LocalWorker &c) {
+                                return !claimedPids.count(c.pid);
+                            }))
                 break;
-            const pid_t pid = spawnLocalWorker(opt.workerArgv);
-            if (pid < 0)
+            int wake[2];
+            if (!openChannel(wake))
                 break;
-            children.push_back(pid);
+            std::fflush(nullptr);
+            const pid_t pid = ::fork();
+            if (pid == 0) {
+                waiter.closeInChild();
+                for (const LocalWorker &c : children)
+                    ::close(c.wake);
+                ::close(wake[1]);
+                ::close(records.fd[0]);
+                runLocalWorker(opt.spool, cellKeys, fn, wopt, wake[0],
+                               records.fd[1]);
+            }
+            ::close(wake[0]);
+            if (pid < 0) {
+                ::close(wake[1]);
+                break;
+            }
+            children.push_back({pid, wake[1]});
             waiter.watchChild(pid);
             // The OS may recycle pids.
             deadChildren.erase(pid);
@@ -421,12 +540,11 @@ runSpoolBroker(const std::string &campaignJson,
         }
 
     try {
-        if (remaining > 0) {
-            // Spawn before publishing: the children's exec and campaign
-            // rebuild overlap the shard publishes, and they wait on
-            // inotify for the shards to appear.
+        // Fork before publishing: the children start claiming the
+        // first shard while the broker still publishes the rest, each
+        // publish poking one of them to rescan.
+        if (remaining > 0)
             topUpWorkers();
-        }
         // Publish shards for unresolved cells no shard covers yet.
         {
             ShardSpec next;
@@ -444,6 +562,10 @@ runSpoolBroker(const std::string &campaignJson,
                 next.attempt = 0;
                 next.budget = budget;
                 spool.publishShard(next);
+                // One child per new shard, in turn: poking all of them
+                // would send every idle child after the same shard.
+                if (!children.empty())
+                    poke(children[shards.size() % children.size()].wake);
                 shards.emplace(next.id, next);
                 next.cells.clear();
             };
@@ -459,13 +581,16 @@ runSpoolBroker(const std::string &campaignJson,
 
         while (remaining > 0) {
             waiter.drain();
+            if (records.fd[0] >= 0)
+                drainChannel(records.fd[0]);
             const double now = spoolWallClock();
-            // pollInterval is only the ceiling for writers inotify
-            // cannot see; the scan pulls the wake in to the nearest
-            // deadline it passes.
+            // pollInterval is only the ceiling for writers nothing
+            // wakes this loop for; the scan pulls the wake in to the
+            // nearest deadline it passes.
             double wake = now + opt.pollInterval;
             const std::size_t unresolved = remaining;
             bool leaseHeld = false;
+            bool stranger = false; // a lease holder this broker did not fork
 
             reapChildren(false);
 
@@ -517,25 +642,31 @@ runSpoolBroker(const std::string &campaignJson,
                              std::to_string(s.token) +
                              "; breaking it");
                         spool.breakLease(s.id, s.token);
+                        pokeChildren();
                     } else {
                         wake = std::min(wake, leaseMtime + opt.leaseTtl);
                     }
                     continue;
                 }
                 if (lease.host == kBackoffHost) {
-                    if (lease.deadline <= now)
+                    if (lease.deadline <= now) {
                         spool.breakLease(s.id,
                                          s.token); // backoff served
-                    else
+                        pokeChildren();
+                    } else {
                         wake = std::min(wake, lease.deadline);
+                    }
                     continue;
                 }
                 leaseHeld = true;
-                if (lease.host == myHost)
-                    claimedPids.insert(static_cast<pid_t>(lease.pid));
-                if (lease.host == myHost &&
-                    deadChildren.count(
-                        static_cast<pid_t>(lease.pid))) {
+                const pid_t holder = static_cast<pid_t>(lease.pid);
+                const bool mine = lease.host == myHost &&
+                                  (isChild(holder) ||
+                                   deadChildren.count(holder));
+                stranger = stranger || !mine;
+                if (mine)
+                    claimedPids.insert(holder);
+                if (mine && deadChildren.count(holder)) {
                     // The holder was our child and it is already
                     // dead: reclaim now instead of waiting out the
                     // deadline.
@@ -557,10 +688,7 @@ runSpoolBroker(const std::string &campaignJson,
                         std::to_string(lease.pid) + " on " +
                         lease.host + ", ttl " + fmtSecs(opt.leaseTtl) +
                         "s)";
-                    const pid_t holder = static_cast<pid_t>(lease.pid);
-                    if (lease.host == myHost &&
-                        std::count(children.begin(), children.end(),
-                                   holder)) {
+                    if (mine) {
                         ::kill(holder, SIGKILL);
                         why += "; worker killed";
                     }
@@ -592,7 +720,6 @@ runSpoolBroker(const std::string &campaignJson,
                 warn("local workers exited before claiming a shard " +
                      std::to_string(preClaimStreak) +
                      " times in a row (last: " + lastPreClaimExit +
-                     ", worker " + opt.workerArgv[0] +
                      "); not respawning — the campaign needs external "
                      "`pintesim --worker` processes");
             }
@@ -604,18 +731,27 @@ runSpoolBroker(const std::string &campaignJson,
                     lastProgress = now;
                 if (now >= lastProgress + opt.leaseTtl)
                     throw ConfigError(
-                        "spool campaign stalled: local workers exited "
-                        "before claiming a shard (last: " +
-                            lastPreClaimExit + ", worker " +
-                            opt.workerArgv[0] +
+                        "spool campaign stalled: " +
+                            std::to_string(preClaimStreak) +
+                            " local workers in a row exited before "
+                            "claiming a shard (last: " +
+                            lastPreClaimExit +
                             ") and no worker held a lease for " +
                             fmtSecs(opt.leaseTtl) + "s",
                         {"broker", opt.spool, ""});
                 wake = std::min(wake, lastProgress + opt.leaseTtl);
+                stranger = true;
             } else {
                 topUpWorkers();
             }
 
+            if (stranger && !waiter.watchingFiles()) {
+                // Workers this broker did not fork write here too:
+                // watch the files from now on, then rescan at once so
+                // nothing they wrote before the watches is missed.
+                waiter.watchFiles(opt.spool);
+                continue;
+            }
             waiter.wait(wake);
         }
     } catch (...) {
@@ -623,11 +759,16 @@ runSpoolBroker(const std::string &campaignJson,
         throw;
     }
 
-    // Campaign over: the complete marker sends idle workers home;
-    // stragglers are reaped the hard way after a short grace. From here
-    // only child exits matter, so the file watches go now and their
-    // teardown runs while the workers exit.
+    // Campaign over: the complete marker sends hand-started workers
+    // home, and closing the wake channels sends the forked ones.
+    // Stragglers are reaped the hard way after a short grace. From
+    // here only child exits matter, so the file watches go now and
+    // their teardown runs while the workers exit.
     spool.markComplete();
+    for (LocalWorker &c : children) {
+        ::close(c.wake);
+        c.wake = -1;
+    }
     waiter.dropFileWatches();
     const double grace = spoolWallClock() + 2.0;
     for (;;) {
@@ -640,11 +781,17 @@ runSpoolBroker(const std::string &campaignJson,
     return results;
 }
 
-bool
-spoolWorkerStep(Spool &spool, const std::vector<std::string> &cellKeys,
-                const ProcJobFn &fn, const SpoolWorkerOptions &opt)
+namespace
 {
-    for (const std::string &id : spool.listShardIds()) {
+
+bool
+workShard(Spool &spool, const std::vector<std::string> &cellKeys,
+          const ProcJobFn &fn, const SpoolWorkerOptions &opt, int notify)
+{
+    const std::vector<std::string> ids = spool.listShardIds();
+    const std::size_t first = scanOffset(ids.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        const std::string &id = ids[(first + k) % ids.size()];
         ShardSpec s;
         if (!spool.readShard(id, s))
             continue;
@@ -704,7 +851,7 @@ spoolWorkerStep(Spool &spool, const std::vector<std::string> &cellKeys,
                 const std::string &key = cellKeys[cell];
 
                 // Worker-level fault sites (common/fault.hh), keyed by
-                // global cell index exactly like the fork backend's.
+                // global cell index.
                 if (faultArmedForCell("worker-crash", cell))
                     std::abort();
                 if (s.attempt == 0 &&
@@ -732,8 +879,6 @@ spoolWorkerStep(Spool &spool, const std::vector<std::string> &cellKeys,
                         ::pause();
                 }
 
-                if (opt.jobTimeout > 0.0)
-                    JobWatchdog::arm(opt.jobTimeout);
                 RunResult r;
                 try {
                     r = fn(static_cast<std::size_t>(cell));
@@ -742,27 +887,68 @@ spoolWorkerStep(Spool &spool, const std::vector<std::string> &cellKeys,
                 } catch (const std::exception &e) {
                     r.error = RunError::from(e);
                 }
-                JobWatchdog::disarm();
                 rec.runJson = runToFlatJson(r);
 
                 if (!out.append(rec)) {
                     streamedAll = false;
                     break;
                 }
+                if (notify >= 0)
+                    poke(notify);
             }
         }
         JobWatchdog::progressHook({}, 0.2);
 
         if (lost)
             return true; // fenced off; our lease is not ours to touch
-        if (streamedAll)
+        if (streamedAll) {
             spool.markDone(s.id, s.token);
+            if (notify >= 0)
+                poke(notify);
+        }
         // Not streamedAll without being fenced (I/O failure, foreign
         // cell index): release and let the broker's ladder decide.
         spool.releaseLease(lease);
         return true;
     }
     return false;
+}
+
+[[noreturn]] void
+runLocalWorker(const std::string &root,
+               const std::vector<std::string> &cellKeys,
+               const ProcJobFn &fn, const SpoolWorkerOptions &opt,
+               int wake, int notify)
+{
+    // Fault site (common/fault.hh): a worker that dies before its
+    // first claim, as one that cannot start would.
+    if (faultInjected("worker-start"))
+        ::_exit(3);
+    int code = 0;
+    try {
+        Spool spool(root);
+        SpoolWaiter waiter;
+        waiter.watchFd(wake);
+        while (drainChannel(wake))
+            if (!workShard(spool, cellKeys, fn, opt, notify))
+                waiter.wait(spoolWallClock() + opt.idlePoll);
+    } catch (const std::exception &e) {
+        warn(std::string("spool worker: ") + e.what());
+        code = 3;
+    } catch (...) {
+        code = 3;
+    }
+    std::fflush(nullptr);
+    ::_exit(code);
+}
+
+} // namespace
+
+bool
+spoolWorkerStep(Spool &spool, const std::vector<std::string> &cellKeys,
+                const ProcJobFn &fn, const SpoolWorkerOptions &opt)
+{
+    return workShard(spool, cellKeys, fn, opt, -1);
 }
 
 void

@@ -7,10 +7,12 @@
  * The broker partitions a campaign's cell grid into shards keyed by
  * the machine fingerprint, publishes them to a spool directory
  * (sim/shard_queue.hh), and merges per-cell results on arrival as
- * independent worker processes (`pintesim --worker --spool=DIR`,
- * locally spawned and/or started by hand on any host sharing the
- * filesystem) claim shards, execute their cells, and stream results
- * back. Everything the campaign knows lives in the spool, so:
+ * worker processes claim shards, execute their cells, and stream
+ * results back. Its local workers are forked children that run the
+ * cells from the broker's own memory; workers started by hand
+ * (`pintesim --worker --spool=DIR`, on any host sharing the
+ * filesystem) join the same protocol. Everything the campaign knows
+ * lives in the spool, so:
  *
  *  - a worker that crashes, hangs, or tears a frame mid-write simply
  *    stops renewing its lease; the broker reclaims the shard (killing
@@ -41,6 +43,11 @@
  * worker — even one alive on another host that the broker cannot
  * kill — writes into the void. Workers double-check the shard token
  * on every lease renewal and abandon the shard the moment it moves.
+ *
+ * Wake-ups (sim/spool_wait.hh): forked workers tell the broker about
+ * each record over a socket pair and learn that the campaign is over
+ * from EOF on one of their own, so they never arm file watches. The
+ * broker arms them only when it can have workers it did not fork.
  */
 
 #ifndef PINTE_SIM_BROKER_HH
@@ -63,15 +70,11 @@ struct BrokerOptions
     /** Spool directory (created if absent). */
     std::string spool;
 
-    /** Local worker processes to spawn; 0 spawns none (external
+    /** Local worker processes to fork; 0 forks none (external
      *  workers only — tests, or hand-started remote workers). Three
      *  children in a row that exit before they are seen holding a
      *  lease stop the respawning. */
     unsigned workers = 0;
-
-    /** argv to exec local workers with; empty disables spawning even
-     *  when `workers` > 0. */
-    std::vector<std::string> workerArgv;
 
     /** Lease time-to-live in seconds: a worker whose lease goes this
      *  long without renewal is presumed dead and reclaimed. Renewal
@@ -91,11 +94,12 @@ struct BrokerOptions
      *  1 makes loss granularity exactly one cell. */
     std::size_t shardSize = 1;
 
-    /** Longest the broker sleeps between scans, in seconds. Local
-     *  file events and child exits wake it at once (sim/spool_wait.hh),
-     *  so this is only the fallback ceiling for writers inotify cannot
-     *  see — workers on other hosts over NFS — and for hosts without
-     *  inotify or pidfds. */
+    /** Longest the broker sleeps between scans, in seconds. Its
+     *  forked workers' records and exits wake it at once, and so do
+     *  same-host file events once it watches files
+     *  (sim/spool_wait.hh); this is only the fallback ceiling for
+     *  writers nothing can see — workers on other hosts over NFS —
+     *  and for hosts without inotify or pidfds. */
     double pollInterval = 0.1;
 };
 
@@ -106,19 +110,22 @@ using BrokerLookupFn =
 
 /**
  * Run a spool campaign as the broker: publish (or adopt) the campaign
- * document and shards, merge streamed results until every cell is
- * resolved, and return results in cell order. `campaignJson` is the
- * full campaign document; adopting an existing spool requires it to
- * match byte for byte. Throws ConfigError on a spool/campaign
- * mismatch, and when local workers keep dying before they claim
- * anything and no worker then holds a lease for a whole leaseTtl (the
- * message quotes the last child's exit status). Worker loss after a
- * claim never throws — it quarantines.
+ * document and shards, fork `opt.workers` local workers that execute
+ * cells with `fn` (none when `fn` is empty), merge streamed results
+ * until every cell is resolved, and return results in cell order.
+ * `campaignJson` is the full campaign document; adopting an existing
+ * spool requires it to match byte for byte. Throws ConfigError on a
+ * spool/campaign mismatch, and when local workers keep dying before
+ * they claim anything and no worker then holds a lease for a whole
+ * leaseTtl (the message quotes the last child's exit status). Worker
+ * loss after a claim never throws — it quarantines. Every forked
+ * worker is reaped before this returns or throws.
  */
 std::vector<RunResult> runSpoolBroker(
     const std::string &campaignJson, const std::string &fingerprint,
     const std::vector<std::string> &cellKeys, const BrokerOptions &opt,
-    const ProcResultFn &onResult = {}, const BrokerLookupFn &lookup = {});
+    const ProcJobFn &fn = {}, const ProcResultFn &onResult = {},
+    const BrokerLookupFn &lookup = {});
 
 /** Knobs of a spool worker. */
 struct SpoolWorkerOptions
@@ -127,14 +134,11 @@ struct SpoolWorkerOptions
      *  carries the broker's value so all workers agree. */
     double leaseTtl = 30.0;
 
-    /** Cooperative per-cell watchdog limit (seconds); 0 disables. */
-    double jobTimeout = 0.0;
-
     /** Longest an idle worker sleeps between scans for claimable
-     *  shards, in seconds. A new shard, a released lease or the
-     *  complete marker wakes it at once when written on this host;
-     *  this ceiling covers writers on other hosts and hosts without
-     *  inotify. */
+     *  shards, in seconds. A hand-started worker wakes at once on a
+     *  new shard, a released lease or the complete marker written on
+     *  this host, a forked one when its broker pokes it; this ceiling
+     *  covers writers on other hosts and hosts without inotify. */
     double idlePoll = 0.2;
 
     /** Machine fingerprint the worker was configured with; a shard
@@ -146,9 +150,11 @@ struct SpoolWorkerOptions
 /**
  * Claim and execute at most one shard: stream one Record per cell,
  * renew the lease on instruction progress, and write the done marker.
- * Returns false when nothing was claimable. Exposed separately from
- * runSpoolWorker so tests can drive the worker protocol step by step
- * in-process.
+ * Returns false when nothing was claimable. The scan starts at a
+ * shard picked from this process's pid and host, so workers spread
+ * over the shards instead of racing for the same first one. Exposed
+ * separately from runSpoolWorker so tests can drive the worker
+ * protocol step by step in-process.
  */
 bool spoolWorkerStep(Spool &spool,
                      const std::vector<std::string> &cellKeys,
@@ -156,8 +162,9 @@ bool spoolWorkerStep(Spool &spool,
                      const SpoolWorkerOptions &opt);
 
 /**
- * Worker main loop: process shards until the spool's campaign is
- * complete. Returns normally when the complete marker appears.
+ * Worker main loop of a hand-started worker (`pintesim --worker`):
+ * process shards until the spool's campaign is complete, waking on
+ * file events. Returns normally when the complete marker appears.
  */
 void runSpoolWorker(const std::string &spoolRoot,
                     const std::vector<std::string> &cellKeys,

@@ -4,6 +4,7 @@
 
 #include "common/error.hh"
 #include "common/json.hh"
+#include "sim/watchdog.hh"
 
 namespace pinte
 {
@@ -100,13 +101,16 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             journal->record(cellKey(cells[i], core), r);
     };
     // Cells that replay one stream share its trace in this address
-    // space (a process worker: in its own forked copy). A cell drops
-    // its references when it finishes, so a store is freed with the
-    // last cell that reads it. Spool workers run in processes of their
-    // own and build their stores there (`pintesim --worker`).
-    std::vector<TraceStores> traces;
-    if (backend != IsolationMode::Spool)
-        traces = sharedTraces(cells, pending);
+    // space (a process or spool worker: in its own forked copy). A
+    // cell drops its references when it finishes, so a store is freed
+    // with the last cell that reads it. Indexed by cell; a cell that
+    // is not pending has none.
+    std::vector<TraceStores> traces(n);
+    {
+        std::vector<TraceStores> shared = sharedTraces(cells, pending);
+        for (std::size_t j = 0; j < pending.size(); ++j)
+            traces[pending[j]] = std::move(shared[j]);
+    }
 
     switch (backend) {
       case IsolationMode::Thread: {
@@ -120,7 +124,7 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             pending.size(),
             [&](std::size_t j) {
                 const std::size_t i = pending[j];
-                const TraceStores mine = std::move(traces[j]);
+                const TraceStores mine = std::move(traces[i]);
                 for (RunOutcome &o : cells[i].tryRunAll(mine))
                     results[i].push_back(std::move(o.result));
                 for (std::size_t c = 0; c < results[i].size(); ++c)
@@ -134,7 +138,7 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
         const auto fresh = runProcessCampaign(
             pending.size(),
             [&](std::size_t j) {
-                const TraceStores mine = std::move(traces[j]);
+                const TraceStores mine = std::move(traces[pending[j]]);
                 return cells[pending[j]].tryRun(mine).result;
             },
             proc,
@@ -156,6 +160,11 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
                                   {"campaign", broker.spool, ""});
         const std::vector<RunResult> fresh = runSpoolBroker(
             campaignDocument(fp, spoolSpec, keys), fp, keys, broker,
+            [&](std::size_t i) {
+                const TraceStores mine = std::move(traces[i]);
+                JobWatchdog::Scope watchdog(proc.jobTimeout);
+                return cells[i].tryRun(mine).result;
+            },
             [&](std::size_t i, const RunResult &r) { arrived(i, r, 0); },
             [&](std::size_t i) {
                 return results[i].empty() ? nullptr : &results[i].front();

@@ -49,8 +49,10 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
  *  - Process: runProcessCampaign(`proc`);
  *  - Spool: runSpoolBroker(`broker`) over a campaign document that
  *    carries the cells' machine fingerprint, `spoolSpec` (the JSON a
- *    spool worker rebuilds the grid from) and every cell's key. All
- *    cells must share one machine fingerprint.
+ *    hand-started spool worker rebuilds the grid from) and every
+ *    cell's key. The broker's forked workers run tryRun() on the
+ *    cells in memory, `proc.jobTimeout` armed as the cooperative
+ *    watchdog. All cells must share one machine fingerprint.
  * The process and spool backends ship core 0 only, so they refuse a
  * multi-core cell with a ConfigError. Every core of a success is
  * journaled under cellKey(cell, core). A core a backend quarantines

@@ -57,8 +57,9 @@ cellKey(const ExperimentSpec &cell, std::size_t core)
                std::to_string(p.sampling.detailedFraction) + "|ss" +
                std::to_string(p.sampling.seed);
     }
-    return key + "|" + (w.empty() ? std::string("?") : w[core].name) +
-           "|" + cell.contention(core);
+    key += "|" + (w.empty() ? std::string("?") : w[core].name) + "|" +
+           cell.contention(core);
+    return core ? key + "|core" + std::to_string(core) : key;
 }
 
 RunJournal::RunJournal(const std::string &path) : path_(path)

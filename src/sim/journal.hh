@@ -44,7 +44,11 @@ namespace pinte
  * The identity core `core` of `cell` is filed under, in the journal
  * and in a spool: machine fingerprint (with the core count the cell
  * runs on) + scale parameters + that core's workload and contention
- * labels. The only derivation of a campaign key — every campaign path
+ * labels, plus "|core<N>" for a core N >= 1. The marker keeps core 1
+ * of the pair (A, B) apart from core 0 of the pair (B, A), whose
+ * labels are the same; core-0 keys carry none, so every key earlier
+ * releases wrote for a single-core cell still resolves. The only
+ * derivation of a campaign key — every campaign path
  * (sim/campaign.hh) and the spool worker's config-skew check go
  * through it, so a key can never drift between them.
  */

@@ -41,8 +41,12 @@ openPidfd(pid_t pid)
 
 } // namespace
 
-SpoolWaiter::SpoolWaiter(const std::string &root)
+void
+SpoolWaiter::watchFiles(const std::string &root)
 {
+    if (filesArmed_)
+        return;
+    filesArmed_ = true;
     inotify_ = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
     if (inotify_ < 0) {
         degrade(std::string("inotify_init1: ") + std::strerror(errno));
@@ -105,6 +109,19 @@ SpoolWaiter::forgetChild(pid_t pid)
 }
 
 void
+SpoolWaiter::closeInChild()
+{
+    if (inotify_ >= 0)
+        ::close(inotify_);
+    inotify_ = -1;
+    watches_.clear();
+    for (const auto &c : children_)
+        ::close(c.second);
+    children_.clear();
+    fds_.clear();
+}
+
+void
 SpoolWaiter::dropFileWatches()
 {
     for (const int wd : watches_)
@@ -131,6 +148,8 @@ SpoolWaiter::wait(double deadline)
     std::vector<struct pollfd> fds;
     if (inotify_ >= 0)
         fds.push_back({inotify_, POLLIN, 0});
+    for (const int fd : fds_)
+        fds.push_back({fd, POLLIN, 0});
     for (const auto &c : children_)
         fds.push_back({c.second, POLLIN, 0});
     // Round up, so a wake never lands just before the deadline it was

@@ -4,8 +4,9 @@
  * idempotency, lease fencing against stale workers, adoption-time
  * salvage of superseded streams, trimmed republishing of reclaimed
  * shards, rate-limited lease renewal, quarantine provenance for
- * exhausted shards, the pre-claim respawn guard, and the event
- * wake-ups of the spool's wait loops.
+ * exhausted shards, the pre-claim respawn guard over forked workers,
+ * the descriptors a forked worker keeps, and the event wake-ups of
+ * the spool's wait loops.
  *
  * Every test drives the real on-disk protocol (src/sim/shard_queue.hh)
  * under a private spool directory; the fencing test runs a live broker
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/fault.hh"
 #include "common/json.hh"
 #include "sim/broker.hh"
 #include "sim/shard_queue.hh"
@@ -784,30 +786,39 @@ TEST(Spool, AgedLeaseIsRewritten)
     EXPECT_GE(cur.deadline, before + 0.75 * ttl);
 }
 
-/**
- * A broker whose local worker argv cannot exec (children die
- * instantly with 127) must stop respawning instead of fork-storming,
- * and the campaign must still complete through external workers.
- */
-TEST(Broker, UnexecableWorkerArgvDoesNotStallCampaign)
+/** Disarm the fault plan however a test exits. */
+struct FaultScope
 {
-    const std::string root = freshSpool("exec_fail");
+    explicit FaultScope(const char *spec) { armFault(spec); }
+    ~FaultScope() { armFault(""); }
+};
+
+/**
+ * A broker whose forked workers cannot start (worker-start: each
+ * exits 3 before claiming anything) must stop respawning instead of
+ * fork-storming, and the campaign must still complete through an
+ * external worker — here this thread, whose claims the broker sees as
+ * a stranger's.
+ */
+TEST(Broker, UnstartableLocalWorkersDoNotStallCampaign)
+{
+    const std::string root = freshSpool("start_fail");
     const auto keys = syntheticKeys(2);
 
     BrokerOptions opt = brokerOptions(root);
     opt.workers = 2;
-    opt.workerArgv = {"/nonexistent/pinte-no-such-binary", "--worker"};
-
-    std::vector<RunResult> results;
-    std::thread broker([&] {
-        results = runSpoolBroker(kDoc, kFp, keys, opt);
-    });
 
     std::atomic<std::size_t> calls{0};
     const ProcJobFn fn = [&](std::size_t i) {
         ++calls;
         return syntheticResult(i);
     };
+    FaultScope fault("worker-start:1");
+    std::vector<RunResult> results;
+    std::thread broker([&] {
+        results = runSpoolBroker(kDoc, kFp, keys, opt, fn);
+    });
+
     Spool spool(root);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -817,7 +828,7 @@ TEST(Broker, UnexecableWorkerArgvDoesNotStallCampaign)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     ASSERT_TRUE(spool.complete())
-        << "campaign stalled behind exec-failing local workers";
+        << "campaign stalled behind local workers that cannot start";
     broker.join();
 
     ASSERT_EQ(results.size(), 2u);
@@ -828,42 +839,86 @@ TEST(Broker, UnexecableWorkerArgvDoesNotStallCampaign)
 }
 
 /**
- * Local children that die before they are ever seen holding a lease
- * (here: every one exits 3 at once, as a config-skewed worker would)
+ * Forked workers that die before they are ever seen holding a lease
+ * (here: every one exits 3 at once, as one that cannot start would)
  * stop the respawning after three, and with no external worker to
- * carry the campaign it fails with a ConfigError quoting the exit
- * status instead of stalling silently.
+ * carry the campaign it fails with a ConfigError quoting the streak
+ * and the exit status instead of stalling silently.
  */
 TEST(Broker, PreClaimDeathsStopRespawningAndFailLoudly)
 {
     const std::string root = freshSpool("preclaim");
-    const std::string spawnLog = root + ".spawns";
-    std::filesystem::remove(spawnLog);
     const auto keys = syntheticKeys(2);
 
     BrokerOptions opt = brokerOptions(root);
     opt.workers = 2;
     opt.leaseTtl = 0.5;
-    opt.workerArgv = {"/bin/sh", "-c",
-                      "echo spawned >> '" + spawnLog + "'; exit 3"};
 
+    FaultScope fault("worker-start:1");
     const auto t0 = std::chrono::steady_clock::now();
     std::string what;
     try {
-        runSpoolBroker(kDoc, kFp, keys, opt);
+        runSpoolBroker(kDoc, kFp, keys, opt,
+                       [](std::size_t i) { return syntheticResult(i); });
     } catch (const ConfigError &e) {
         what = e.what();
     }
     const double secs = secondsSince(t0);
     ASSERT_FALSE(what.empty()) << "the campaign did not fail";
     EXPECT_NE(what.find("exit status 3"), std::string::npos) << what;
+    // Exactly three forks: one unproven child at a time after the
+    // first pre-claim death.
+    EXPECT_NE(what.find("3 local workers in a row"), std::string::npos)
+        << what;
     EXPECT_LT(secs, 10.0);
+}
 
-    std::ifstream log(spawnLog);
-    std::size_t spawns = 0;
-    for (std::string line; std::getline(log, line);)
-        ++spawns;
-    EXPECT_EQ(spawns, 3u);
+/** Descriptors of this process whose /proc/self/fd link names `kind`. */
+std::size_t
+openFdsOf(const std::string &kind)
+{
+    namespace fs = std::filesystem;
+    std::size_t n = 0;
+    for (const auto &e : fs::directory_iterator("/proc/self/fd")) {
+        std::error_code ec;
+        const auto target = fs::read_symlink(e.path(), ec);
+        if (!ec && target.string().find(kind) != std::string::npos)
+            ++n;
+    }
+    return n;
+}
+
+/**
+ * A forked worker closes the broker's descriptors it inherited and
+ * arms no file watches of its own: it holds no inotify descriptor and
+ * no pidfd while it runs a cell (each cell reports what it saw in its
+ * result). With the fallback ceiling at 30 s the campaign still ends
+ * in well under a second, so the broker woke on its workers' records
+ * and exits, not on a timer.
+ */
+TEST(Broker, ForkedWorkerHoldsNoInotifyFd)
+{
+    const std::string root = freshSpool("forked_fds");
+    const auto keys = syntheticKeys(4);
+
+    BrokerOptions opt = brokerOptions(root);
+    opt.workers = 2;
+    opt.pollInterval = 30.0;
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto results = runSpoolBroker(
+        kDoc, kFp, keys, opt, [](std::size_t i) {
+            RunResult r = syntheticResult(i);
+            r.workload = "inotify=" + std::to_string(openFdsOf("inotify")) +
+                         ",pidfd=" + std::to_string(openFdsOf("pidfd"));
+            return r;
+        });
+    EXPECT_LT(secondsSince(t0), 5.0);
+    ASSERT_EQ(results.size(), 4u);
+    for (const RunResult &r : results) {
+        EXPECT_FALSE(r.failed()) << r.error.message;
+        EXPECT_EQ(r.workload, "inotify=0,pidfd=0");
+    }
 }
 
 /**

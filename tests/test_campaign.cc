@@ -1,10 +1,11 @@
 /**
  * @file
  * The one campaign path (sim/campaign.hh): cellKey() reproduces the
- * journal keys earlier releases wrote, runCampaign() resumes a
- * half-journaled sweep on every backend without simulating a
- * journaled cell again, and it resolves every core of multi-core
- * cells on threads (the process and spool backends refuse them).
+ * journal keys earlier releases wrote and keeps the two orders of a
+ * pair apart, runCampaign() resumes a half-journaled sweep on every
+ * backend without simulating a journaled cell again, and it resolves
+ * every core of multi-core cells on threads (the process and spool
+ * backends refuse them).
  *
  * "Not simulated again" is proven with the `job` fault site, which
  * fails the nth simulation job one executor starts (common/fault.hh).
@@ -147,7 +148,8 @@ TEST(CellKey, ReproducesTheKeysEarlierReleasesJournaled)
               "pf=000;pinte=0.000000,20823,1,0,llc-only|w2000|r8000|"
               "s2000|seed0|429.mcf|isolation");
 
-    // Core 1 of a bench 2nd-Trace pair cell.
+    // Core 1 of a bench 2nd-Trace pair cell: core-1 keys carry a
+    // marker, so earlier releases' core-1 entries re-simulate once.
     ExperimentSpec pair(MachineConfig::scaled());
     pair.workload(mcf).secondTrace(findWorkload("470.lbm")).params(plain);
     EXPECT_EQ(cellKey(pair, 1),
@@ -155,7 +157,7 @@ TEST(CellKey, ReproducesTheKeysEarlierReleasesJournaled)
               "l1d=16x4@4r0i0d2s1;l2=32x8@12r0i0d4s1;"
               "llc=64x16@38r0i0d1s1;dram=2,16,32,22,22,22,4,2,8,0;"
               "pf=000;pinte=0.000000,20823,1,0,llc-only|w2000|r8000|"
-              "s2000|seed0|470.lbm|429.mcf");
+              "s2000|seed0|470.lbm|429.mcf|core1");
 }
 
 /**
@@ -291,6 +293,44 @@ TEST(Campaign, ServesEveryCoreOfAJournaledPair)
     ASSERT_EQ(again[0].size(), 2u);
     for (std::size_t i = 0; i < 2; ++i)
         EXPECT_EQ(canonical(again[0][i]), canonical(first[0][i]));
+}
+
+TEST(Campaign, PairOrdersKeepTheirOwnJournalEntries)
+{
+    // Core 1 of (gamess, lbm) and core 0 of (lbm, gamess) both run lbm
+    // beside gamess, but on different cores of the machine, so their
+    // results differ; they must not share a journal entry.
+    ExperimentSpec swapped(MachineConfig::scaled());
+    swapped.workload(findWorkload("470.lbm"))
+        .secondTrace(findWorkload("416.gamess"))
+        .params(quickParams());
+    const std::vector<ExperimentSpec> cells = {gamessPair(), swapped};
+    const std::string root = scratch("pair_orders");
+    std::filesystem::create_directories(root);
+    ProcOptions proc;
+    proc.workers = 1;
+
+    std::vector<std::vector<RunResult>> fresh;
+    {
+        RunJournal journal(root + "/journal.jsonl");
+        fresh = runCampaign(cells, IsolationMode::Thread, proc, &journal);
+    }
+    ASSERT_EQ(fresh.size(), 2u);
+    ASSERT_NE(canonical(fresh[0][1]), canonical(fresh[1][0]))
+        << "the two orders must differ for this test to see a mix-up";
+
+    RunJournal journal(root + "/journal.jsonl");
+    EXPECT_EQ(journal.size(), 4u);
+    FaultScope fault("job:1"); // a simulated cell would fail
+    const auto resumed =
+        runCampaign(cells, IsolationMode::Thread, proc, &journal);
+    ASSERT_EQ(resumed.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        ASSERT_EQ(resumed[i].size(), 2u);
+        for (std::size_t c = 0; c < 2; ++c)
+            EXPECT_EQ(canonical(resumed[i][c]), canonical(fresh[i][c]))
+                << "cell " << i << " core " << c;
+    }
 }
 
 TEST(Campaign, ProcessAndSpoolBackendsRefuseMultiCoreCells)

@@ -6,15 +6,18 @@
  *
  *     pinte-fsync-count role=worker pid=4242 calls=48
  *
- * `role` is "worker" for a `pintesim --worker` process and "main" for
- * anything else. check_fsync_budget.cmake preloads it into spool
- * sweeps (LD_PRELOAD is inherited, so the broker's exec'd workers load
- * it too) and holds the workers to their per-cell fsync budget. Not
- * usable in sanitizer builds, whose runtime must be the first library
- * loaded.
+ * `role` is "worker" for a `pintesim --worker` process and for any
+ * process forked from the one that loaded the shim (the broker's
+ * local workers), and "main" for anything else. Forked workers leave
+ * through _exit(), which runs no destructors, so the shim reports from
+ * an _exit()/_Exit() hook as well as at normal exit.
+ * check_fsync_budget.cmake preloads it into spool sweeps and holds the
+ * workers to their per-cell fsync budget. Not usable in sanitizer
+ * builds, whose runtime must be the first library loaded.
  */
 
 #include <dlfcn.h>
+#include <pthread.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +28,8 @@ namespace
 {
 
 std::atomic<unsigned long> calls{0};
+bool forked = false;   // this process is a fork of the one that loaded us
+bool reported = false; // the count is written once per process
 
 template <typename Fn>
 Fn
@@ -33,10 +38,13 @@ realFn(const char *name)
     return reinterpret_cast<Fn>(::dlsym(RTLD_NEXT, name));
 }
 
-/** True when this process's argv carries `--worker`. */
+/** True when this process is a forked child or its argv carries
+ *  `--worker`. */
 bool
 isWorker()
 {
+    if (forked)
+        return true;
     std::FILE *f = std::fopen("/proc/self/cmdline", "rb");
     if (!f)
         return false;
@@ -53,9 +61,22 @@ isWorker()
     return false;
 }
 
+__attribute__((constructor)) void
+watchForks()
+{
+    // A fork starts counting its own calls from zero.
+    ::pthread_atfork(nullptr, nullptr, [] {
+        forked = true;
+        calls = 0;
+    });
+}
+
 __attribute__((destructor)) void
 report()
 {
+    if (reported)
+        return;
+    reported = true;
     char line[128];
     const int len = std::snprintf(
         line, sizeof(line), "pinte-fsync-count role=%s pid=%ld calls=%lu\n",
@@ -76,6 +97,24 @@ fsync(int fd)
     static const auto real = realFn<int (*)(int)>("fsync");
     ++calls;
     return real(fd);
+}
+
+extern "C" [[noreturn]] void
+_exit(int status)
+{
+    static const auto real = realFn<void (*)(int)>("_exit");
+    report();
+    real(status);
+    __builtin_unreachable();
+}
+
+extern "C" [[noreturn]] void
+_Exit(int status)
+{
+    static const auto real = realFn<void (*)(int)>("_Exit");
+    report();
+    real(status);
+    __builtin_unreachable();
 }
 
 extern "C" int

@@ -20,8 +20,6 @@
  *   pintesim -w 450.soplex --sweep --format=csv --out sweep.csv
  */
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -68,9 +66,10 @@ usage()
         "                        (in-process pool, default), process\n"
         "                        (fork-isolated workers: crashes and\n"
         "                        hard hangs become quarantined cells),\n"
-        "                        or spool (durable file-queue broker:\n"
-        "                        broker and workers all survive\n"
-        "                        SIGKILL; requires --spool)\n"
+        "                        or spool (durable file-queue broker\n"
+        "                        with --jobs forked workers: broker and\n"
+        "                        workers all survive SIGKILL; requires\n"
+        "                        --spool)\n"
         "      --max-retries N   process/spool backend: attempts per\n"
         "                        cell (process) or shard (spool)\n"
         "                        before quarantine (default 1; only\n"
@@ -130,8 +129,8 @@ usage()
         "      --trace-events FILE  write a chrome://tracing JSON\n"
         "                        event trace of the run to FILE\n"
         "      --seed N          run seed (PInTE RNG stream)\n"
-        "      --jobs N          worker threads for --sweep "
-        "(default: all cores)\n"
+        "      --jobs N          worker threads (or processes) for\n"
+        "                        --sweep (default: all cores)\n"
         "      --job-timeout S   fail a job stalled for S seconds\n"
         "      --paranoid[=N]    audit machine invariants every N\n"
         "                        cycles (default 4096) and at end of "
@@ -303,9 +302,7 @@ spoolWorkerMain(const std::string &spool_dir)
     if (!spool.hasCampaign()) {
         // A hand-started worker may beat the broker to the spool: wait
         // for the campaign document rather than failing the race. Its
-        // rename into the spool root wakes the wait at once. (A
-        // broker-spawned worker always finds the document, and skips
-        // arming a waiter it would only tear down again.)
+        // rename into the spool root wakes the wait at once.
         SpoolWaiter waiter(spool_dir);
         while (!spool.hasCampaign()) {
             if (spool.complete())
@@ -350,11 +347,13 @@ spoolWorkerMain(const std::string &spool_dir)
 
     SpoolWorkerOptions wopt;
     wopt.leaseTtl = sc.leaseTtl;
-    wopt.jobTimeout = sc.jobTimeout;
     wopt.fingerprint = fp;
     runSpoolWorker(
         spool_dir, keys,
-        [&](std::size_t k) { return cells[k].tryRun(traces[k]).result; },
+        [&](std::size_t k) {
+            JobWatchdog::Scope watchdog(sc.jobTimeout);
+            return cells[k].tryRun(traces[k]).result;
+        },
         wopt);
     return 0;
 }
@@ -676,22 +675,10 @@ pinteMain(int argc, char **argv)
     popt.workers = jobs;
     popt.jobTimeout = sc.jobTimeout;
     popt.maxRetries = max_retries;
-    // Spool workers are `pintesim --worker` processes; exec them by
-    // our resolved path, since argv[0] may be a bare name found via
-    // PATH (the broker falls back to an execvp PATH search anyway).
     BrokerOptions bopt;
     bopt.spool = spool_dir;
     bopt.workers =
         jobs ? jobs : std::max(1u, std::thread::hardware_concurrency());
-    std::string self = argv[0];
-    {
-        char exe[4096];
-        const ::ssize_t len =
-            ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-        if (len > 0)
-            self.assign(exe, static_cast<std::size_t>(len));
-    }
-    bopt.workerArgv = {self, "--worker", "--spool", spool_dir};
     bopt.leaseTtl = sc.leaseTtl;
     bopt.maxRetries = max_retries;
     bopt.shardSize = shard_size;
