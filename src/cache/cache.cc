@@ -114,6 +114,12 @@ Cache::Cache(const CacheConfig &config, MemoryLevel *next)
       stats_(config.numCores, config.assoc),
       indexBits_(floorLog2(config.numSets))
 {
+    // Clean evictions feed exclusive downstream caches (victim cache
+    // behavior); everyone else ignores them. `next` and its inclusion
+    // policy are fixed from here on, so the check is made once.
+    const auto *down = dynamic_cast<const Cache *>(next);
+    cleanEvictsDown_ =
+        down && down->config_.inclusion == InclusionPolicy::Exclusive;
     if (!isPowerOfTwo(config.numSets))
         throw ConfigError("cache '" + config.name +
                               "': numSets must be a power of 2",
@@ -269,22 +275,17 @@ Cache::evict(unsigned set, unsigned way, CoreId requester, Cycle cycle,
         if (wb.core < stats_.perCore.size())
             stats_.perCore[wb.core].writebacksOut++;
         next_->access(wb);
-    } else if (!is_dirty && next_) {
-        // Clean evictions feed exclusive downstream caches (victim
-        // cache behavior); everyone else ignores them.
-        auto *down = dynamic_cast<Cache *>(next_);
-        if (down && down->config_.inclusion == InclusionPolicy::Exclusive) {
-            MemAccess ev;
-            ev.addr = line << blockShift;
-            ev.core = block_owner < stats_.perCore.size() ? block_owner
-                                                          : requester;
-            ev.type = AccessType::Writeback;
-            ev.cycle = cycle;
-            ev.wbDirty = false;
-            if (ev.core < stats_.perCore.size())
-                stats_.perCore[ev.core].writebacksOut++;
-            next_->access(ev);
-        }
+    } else if (!is_dirty && cleanEvictsDown_) {
+        MemAccess ev;
+        ev.addr = line << blockShift;
+        ev.core = block_owner < stats_.perCore.size() ? block_owner
+                                                      : requester;
+        ev.type = AccessType::Writeback;
+        ev.cycle = cycle;
+        ev.wbDirty = false;
+        if (ev.core < stats_.perCore.size())
+            stats_.perCore[ev.core].writebacksOut++;
+        next_->access(ev);
     }
 
     validBits_[set] &= ~bit;

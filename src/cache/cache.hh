@@ -92,8 +92,9 @@ class Cache : public MemoryLevel
   public:
     /**
      * @param config static parameters
-     * @param next downstream level (deeper cache or DRAM); may be null
-     *        for unit tests, in which case misses cost `latency` only
+     * @param next downstream level (deeper cache or DRAM), already
+     *        constructed; may be null for unit tests, in which case
+     *        misses cost `latency` only
      */
     Cache(const CacheConfig &config, MemoryLevel *next);
 
@@ -252,6 +253,9 @@ class Cache : public MemoryLevel
 
     CacheConfig config_;
     MemoryLevel *next_;
+    /** next_ is a Cache whose inclusion policy is Exclusive: clean
+     *  evictions go down to it too. */
+    bool cleanEvictsDown_ = false;
     std::vector<Cache *> upstreams_;
     ReplacementHook *hook_ = nullptr;
 

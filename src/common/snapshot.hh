@@ -66,6 +66,12 @@ class SnapshotWriter
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
 
+    /** Drop the bytes written so far, keeping the buffer for reuse. */
+    void clear() { buf_.clear(); }
+
+    /** Make room for `n` bytes, so writing that many allocates nothing. */
+    void reserve(std::size_t n) { buf_.reserve(n); }
+
   private:
     std::vector<std::uint8_t> buf_;
 };

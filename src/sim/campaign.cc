@@ -52,10 +52,11 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
         }
     }
     std::vector<TraceStores> traces(pending.size());
+    const auto budget = std::make_shared<TraceBudget>();
     for (const Stream &s : streams) {
         if (s.readers.size() < 2)
             continue;
-        const auto store = std::make_shared<TraceStore>(s.spec);
+        const auto store = std::make_shared<TraceStore>(s.spec, budget);
         for (const auto &[j, c] : s.readers) {
             traces[j].resize(cells[pending[j]].workloads().size());
             traces[j][c] = store;
@@ -125,7 +126,8 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             [&](std::size_t j) {
                 const std::size_t i = pending[j];
                 const TraceStores mine = std::move(traces[i]);
-                for (RunOutcome &o : cells[i].tryRunAll(mine))
+                for (RunOutcome &o :
+                     cells[i].tryRunAll(mine, LiveTraces::Inline))
                     results[i].push_back(std::move(o.result));
                 for (std::size_t c = 0; c < results[i].size(); ++c)
                     arrived(i, results[i][c], c);
@@ -139,7 +141,9 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             pending.size(),
             [&](std::size_t j) {
                 const TraceStores mine = std::move(traces[pending[j]]);
-                return cells[pending[j]].tryRun(mine).result;
+                return cells[pending[j]]
+                    .tryRun(mine, LiveTraces::Inline)
+                    .result;
             },
             proc,
             [&](std::size_t j, const RunResult &r) {
@@ -163,7 +167,7 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             [&](std::size_t i) {
                 const TraceStores mine = std::move(traces[i]);
                 JobWatchdog::Scope watchdog(proc.jobTimeout);
-                return cells[i].tryRun(mine).result;
+                return cells[i].tryRun(mine, LiveTraces::Inline).result;
             },
             [&](std::size_t i, const RunResult &r) { arrived(i, r, 0); },
             [&](std::size_t i) {

@@ -31,7 +31,8 @@ namespace pinte
  * `cells[pending[j]]` read, handed to those cells core by core; other
  * cores get no entry and run a live generator. Indexed like `pending`;
  * pass element j to cells[pending[j]].tryRunAll(). Stores are lazy, so
- * building them does no trace work.
+ * building them does no trace work. They share one TraceBudget, so
+ * together they hold at most TraceBudget::defaultBytes.
  */
 std::vector<TraceStores>
 sharedTraces(const std::vector<ExperimentSpec> &cells,
@@ -53,6 +54,8 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
  *    cell's key. The broker's forked workers run tryRun() on the
  *    cells in memory, `proc.jobTimeout` armed as the cooperative
  *    watchdog. All cells must share one machine fingerprint.
+ * Every backend generates a cell's live traces inline
+ * (LiveTraces::Inline): its workers already fill their CPUs.
  * The process and spool backends ship core 0 only, so they refuse a
  * multi-core cell with a ConfigError. Every core of a success is
  * journaled under cellKey(cell, core). A core a backend quarantines

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "sim/watchdog.hh"
+#include "trace/trace_pump.hh"
 
 namespace pinte
 {
@@ -517,7 +518,7 @@ ExperimentSpec::run() const
 
 std::vector<RunResult>
 ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
-                       const TraceStores &traces) const
+                       const TraceStores &traces, LiveTraces live) const
 {
     if (workloads_.empty())
         throw ConfigError("ExperimentSpec: at least one workload required",
@@ -579,7 +580,10 @@ ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
                                   {"experiment", "", s.name});
             gens.push_back(std::make_unique<TraceReplay>(traces[i]));
         } else {
-            gens.push_back(std::make_unique<TraceGenerator>(s));
+            auto gen = std::make_unique<TraceGenerator>(s);
+            gens.push_back(live == LiveTraces::Pumped
+                               ? TracePump::wrapIfSpareCpu(std::move(gen))
+                               : std::move(gen));
         }
         sources.push_back(gens.back().get());
     }
@@ -843,7 +847,12 @@ ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
         results[0].histograms.push_back(std::move(h));
     }
 
-    const double cpu = threadCpuSeconds() - t0;
+    double cpu = threadCpuSeconds() - t0;
+    // A pumped trace is generated on its producer thread, which
+    // started after t0: that CPU time is this run's too.
+    for (const auto &g : gens)
+        if (auto *pump = dynamic_cast<TracePump *>(g.get()))
+            cpu += pump->producerCpuSeconds();
     for (auto &r : results)
         r.cpuSeconds = cpu;
     return results;
@@ -863,14 +872,15 @@ ExperimentSpec::coreWorkload(std::size_t core) const
 }
 
 RunOutcome
-ExperimentSpec::tryRun(const TraceStores &traces) const
+ExperimentSpec::tryRun(const TraceStores &traces, LiveTraces live) const
 {
-    auto all = tryRunAll(traces);
+    auto all = tryRunAll(traces, live);
     return {std::move(all.front().result)};
 }
 
 std::vector<RunOutcome>
-ExperimentSpec::tryRunAll(const TraceStores &traces) const
+ExperimentSpec::tryRunAll(const TraceStores &traces,
+                          LiveTraces live) const
 {
     // Labels for the placeholder cells a faulted job leaves behind;
     // computed up-front because the fault may hit before runAll()
@@ -890,7 +900,7 @@ ExperimentSpec::tryRunAll(const TraceStores &traces) const
     };
 
     try {
-        auto results = runAll({}, traces);
+        auto results = runAll({}, traces, live);
         std::vector<RunOutcome> out(results.size());
         for (std::size_t i = 0; i < results.size(); ++i)
             out[i].result = std::move(results[i]);

@@ -283,8 +283,9 @@ struct RunResult
     std::vector<HistogramData> histograms;
     /**
      * CPU time this experiment consumed, measured on the executing
-     * thread (CLOCK_THREAD_CPUTIME_ID). Thread CPU time rather than
-     * wall time so the Table I / motivation cost ratios measure
+     * thread (CLOCK_THREAD_CPUTIME_ID) plus the producer threads of
+     * its pumped traces (trace/trace_pump.hh). Thread CPU time rather
+     * than wall time so the Table I / motivation cost ratios measure
      * simulation work, not scheduler interleaving, when a campaign
      * runs experiments concurrently (sim/runner.hh).
      */
@@ -357,6 +358,21 @@ struct ExperimentParams
      */
     std::string checkpointPath;
     InstCount checkpointEvery = 0;
+};
+
+/**
+ * Where ExperimentSpec::runAll() generates the live trace of a core
+ * that replays no TraceStore. The stream is the same either way.
+ */
+enum class LiveTraces
+{
+    /** On a TracePump producer thread (trace/trace_pump.hh) while the
+     *  process's affinity set has a CPU to spare for it: a single run
+     *  leaves the other CPUs idle. */
+    Pumped,
+    /** On the simulating thread: campaign cells already fill their
+     *  CPUs, and no pump thread may live across a backend's fork. */
+    Inline,
 };
 
 /**
@@ -439,25 +455,30 @@ class ExperimentSpec
      * before the results are read out; pintesim --report dumps the
      * whole machine from there. Core i replays `traces[i]` when that
      * entry exists and is set, and runs a live generator otherwise;
-     * the store must realize coreWorkload(i). The stream is the same
-     * either way. Neither argument is part of the spec: cell keys and
-     * journals never see them.
+     * the store must realize coreWorkload(i). `live` says where a
+     * live generator runs. The stream is the same either way. None of
+     * the arguments is part of the spec: cell keys and journals never
+     * see them.
      */
     std::vector<RunResult>
     runAll(const std::function<void(System &)> &onFinish = {},
-           const TraceStores &traces = {}) const;
+           const TraceStores &traces = {},
+           LiveTraces live = LiveTraces::Pumped) const;
 
     /**
      * Fault-isolated run(): any Error (or std::exception) raised by
      * the job is captured into the outcome's RunError instead of
      * propagating, with workload/contention labels filled in so the
-     * failed cell stays addressable in reports. `traces` as for
-     * runAll().
+     * failed cell stays addressable in reports. `traces` and `live`
+     * as for runAll().
      */
-    RunOutcome tryRun(const TraceStores &traces = {}) const;
+    RunOutcome tryRun(const TraceStores &traces = {},
+                      LiveTraces live = LiveTraces::Pumped) const;
 
     /** Fault-isolated runAll(): one outcome per core. */
-    std::vector<RunOutcome> tryRunAll(const TraceStores &traces = {}) const;
+    std::vector<RunOutcome>
+    tryRunAll(const TraceStores &traces = {},
+              LiveTraces live = LiveTraces::Pumped) const;
 
     /**
      * The spec core `core`'s trace is generated from: workload

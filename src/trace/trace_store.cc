@@ -217,8 +217,27 @@ decodeRecord(const std::uint8_t *&p, RecordCodecState &st)
     return decode(p, st);
 }
 
-TraceStore::TraceStore(WorkloadSpec spec) : spec_(std::move(spec))
+bool
+TraceBudget::take(std::size_t n)
 {
+    std::size_t used = used_.load();
+    do {
+        if (used + n > limit_)
+            return false;
+    } while (!used_.compare_exchange_weak(used, used + n));
+    return true;
+}
+
+TraceStore::TraceStore(WorkloadSpec spec,
+                       std::shared_ptr<TraceBudget> budget)
+    : spec_(std::move(spec)), budget_(std::move(budget))
+{
+}
+
+TraceStore::~TraceStore()
+{
+    if (budget_)
+        budget_->give(bytes_);
 }
 
 std::size_t
@@ -257,7 +276,7 @@ TraceStore::chunk(std::size_t i)
         std::lock_guard<std::mutex> lock(mu_);
         if (i < chunks_.size())
             return chunks_[i].get();
-        if (bytes_ >= byteBudget)
+        if (full_ || bytes_ >= byteBudget)
             return nullptr;
     }
     TraceGenerator &gen = frontier();
@@ -270,9 +289,18 @@ TraceStore::chunk(std::size_t i)
     for (std::size_t k = 0; k < chunkRecords; ++k)
         encodeRecord(c->records, st, gen.next());
     c->records.shrink_to_fit();
+    const std::size_t size = c->records.size() + c->start.size();
 
     std::lock_guard<std::mutex> lock(mu_);
-    bytes_ += c->records.size() + c->start.size();
+    if (budget_ && !budget_->take(size)) {
+        // Over the shared total: drop the chunk and put the frontier
+        // generator back at its start, where liveAt() expects it.
+        SnapshotReader r(c->start);
+        gen.loadState(r);
+        full_ = true;
+        return nullptr;
+    }
+    bytes_ += size;
     chunks_.push_back(std::move(c));
     return chunks_.back().get();
 }

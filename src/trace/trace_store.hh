@@ -10,7 +10,8 @@
  * a lossless compact encoding, and any number of TraceReplay cursors
  * read them, on any threads. A cursor that reaches the frontier
  * extends the store by one chunk under its mutex; the store holds no
- * more than about byteBudget bytes.
+ * more than about byteBudget bytes, and the stores of one campaign
+ * no more than their shared TraceBudget together.
  *
  * A TraceReplay is indistinguishable from a live TraceGenerator at
  * the same position, down to its checkpoint bytes: the store keeps
@@ -23,6 +24,7 @@
 #ifndef PINTE_TRACE_TRACE_STORE_HH
 #define PINTE_TRACE_TRACE_STORE_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -62,6 +64,41 @@ void encodeRecord(std::vector<std::uint8_t> &out, RecordCodecState &st,
  */
 TraceRecord decodeRecord(const std::uint8_t *&p, RecordCodecState &st);
 
+/**
+ * A byte total that several stores draw on together: every store of
+ * one runCampaign() call (sharedTraces). A store whose next chunk
+ * would pass it stops growing for good, and its cursors continue on
+ * live generators; a store gives its bytes back when it dies.
+ */
+class TraceBudget
+{
+  public:
+    /**
+     * The default total: eight full stores. A bench family keeps one
+     * store per co-runner alive until the family ends, which without
+     * a total bound held over 120 MB (bench_fig8 --full).
+     */
+    static constexpr std::size_t defaultBytes = std::size_t{32} << 20;
+
+    explicit TraceBudget(std::size_t bytes = defaultBytes) : limit_(bytes)
+    {
+    }
+
+    /** Take `n` bytes; false, taking nothing, if that would pass
+     *  the total. */
+    bool take(std::size_t n);
+
+    /** Give back `n` bytes taken earlier. */
+    void give(std::size_t n) { used_.fetch_sub(n); }
+
+    /** Bytes taken and not given back. */
+    std::size_t used() const { return used_.load(); }
+
+  private:
+    const std::size_t limit_;
+    std::atomic<std::size_t> used_{0};
+};
+
 /** The shared, lazily materialized stream of one WorkloadSpec. */
 class TraceStore
 {
@@ -78,8 +115,12 @@ class TraceStore
     static constexpr std::size_t byteBudget = std::size_t{4} << 20;
 
     /** @param spec exactly the spec a live TraceGenerator would get
-     *  (address-space offsets applied); nothing is generated yet. */
-    explicit TraceStore(WorkloadSpec spec);
+     *  (address-space offsets applied); nothing is generated yet.
+     *  @param budget the total this store draws its bytes from, if
+     *  any, besides its own byteBudget */
+    explicit TraceStore(WorkloadSpec spec,
+                        std::shared_ptr<TraceBudget> budget = nullptr);
+    ~TraceStore();
 
     TraceStore(const TraceStore &) = delete;
     TraceStore &operator=(const TraceStore &) = delete;
@@ -117,16 +158,19 @@ class TraceStore
     TraceGenerator &frontier();
 
     const WorkloadSpec spec_;
+    const std::shared_ptr<TraceBudget> budget_;
 
     /** Serializes generation, so readers of stored chunks never wait
      *  for it: guards gen_. */
     std::mutex extendMu_;
     std::unique_ptr<TraceGenerator> gen_; //!< at the frontier
 
-    /** Guards chunks_ and bytes_ (taken inside extendMu_). */
+    /** Guards chunks_, bytes_ and full_ (taken inside extendMu_). */
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<const Chunk>> chunks_;
     std::size_t bytes_ = 0;
+    bool full_ = false; //!< the next chunk would pass a bound
+
 };
 
 /** One store per core of a run; a null entry means that core runs a

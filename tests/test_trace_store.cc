@@ -336,6 +336,59 @@ TEST(TraceReplay, FullStoreDetachesExactly)
     EXPECT_EQ(store->chunks(), chunks);
 }
 
+TEST(TraceReplay, StoresSharingABudgetStopGrowingTogether)
+{
+    // A total that fits one chunk of gamess and not two: the first
+    // store takes one chunk and stops, the second none. Every cursor
+    // still reads the live stream; a dead store hands its bytes on.
+    const WorkloadSpec a = findWorkload("416.gamess");
+    WorkloadSpec b = a;
+    b.dataBase += 0x800000000ull;
+    std::size_t chunkBytes = 0;
+    {
+        auto probe = std::make_shared<TraceStore>(a);
+        TraceReplay cursor(probe);
+        cursor.next();
+        chunkBytes = probe->bytes();
+    }
+    auto budget = std::make_shared<TraceBudget>(chunkBytes * 3 / 2);
+    auto first = std::make_shared<TraceStore>(a, budget);
+    auto second = std::make_shared<TraceStore>(b, budget);
+
+    auto c1 = std::make_unique<TraceReplay>(first);
+    TraceGenerator live1(a);
+    EXPECT_TRUE(sameStream(*c1, live1, 3 * TraceStore::chunkRecords));
+    EXPECT_TRUE(c1->detached());
+    EXPECT_EQ(first->chunks(), 1u);
+    EXPECT_EQ(budget->used(), first->bytes());
+
+    TraceReplay c2(second);
+    TraceGenerator live2(b);
+    EXPECT_TRUE(sameStream(c2, live2, 2 * TraceStore::chunkRecords));
+    EXPECT_TRUE(c2.detached());
+    EXPECT_EQ(second->chunks(), 0u);
+    EXPECT_EQ(stateBytes(c2), stateBytes(live2));
+
+    // A later reader of the stopped store replays its one chunk, then
+    // goes live at the same record.
+    auto c3 = std::make_unique<TraceReplay>(first);
+    TraceGenerator live3(a);
+    EXPECT_TRUE(sameStream(*c3, live3, 2 * TraceStore::chunkRecords));
+    EXPECT_EQ(first->chunks(), 1u);
+
+    // Once the first store is gone (with its readers), a new one can
+    // grow.
+    c1.reset();
+    c3.reset();
+    first.reset();
+    EXPECT_EQ(budget->used(), 0u);
+    auto third = std::make_shared<TraceStore>(a, budget);
+    TraceReplay c4(third);
+    TraceGenerator live4(a);
+    EXPECT_TRUE(sameStream(c4, live4, 10));
+    EXPECT_EQ(third->chunks(), 1u);
+}
+
 TEST(TraceReplay, RunResultsEqualLiveGeneration)
 {
     // A pair: core 1's stream lives in its own address space, so its

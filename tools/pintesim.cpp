@@ -352,7 +352,7 @@ spoolWorkerMain(const std::string &spool_dir)
         spool_dir, keys,
         [&](std::size_t k) {
             JobWatchdog::Scope watchdog(sc.jobTimeout);
-            return cells[k].tryRun(traces[k]).result;
+            return cells[k].tryRun(traces[k], LiveTraces::Inline).result;
         },
         wopt);
     return 0;
