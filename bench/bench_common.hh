@@ -150,8 +150,7 @@ struct BenchOptions
             } else if (a == "--quiet") {
                 o.quiet = true;
             } else if (a.rfind("--jobs=", 0) == 0) {
-                o.jobs = static_cast<unsigned>(
-                    parseCount("--jobs", a.substr(7)));
+                o.jobs = parseCount32("--jobs", a.substr(7));
             } else if (a.rfind("--job-timeout=", 0) == 0) {
                 o.jobTimeout = parseReal("--job-timeout", a.substr(14));
             } else if (a.rfind("--resume=", 0) == 0) {

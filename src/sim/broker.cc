@@ -182,8 +182,7 @@ scanOffset(std::size_t n)
 
 /**
  * spoolWorkerStep(), sending a byte to `notify` (the broker's channel,
- * for a forked worker; -1 for none) after each record and done marker
- * it writes.
+ * for a forked worker; -1 for none) after each record it writes.
  */
 bool workShard(Spool &spool, const std::vector<std::string> &cellKeys,
                const ProcJobFn &fn, const SpoolWorkerOptions &opt,
@@ -328,8 +327,8 @@ runSpoolBroker(const std::string &campaignJson,
     const bool forking = opt.workers > 0 && fn;
     if (!forking)
         waiter.watchFiles(opt.spool);
-    // The channel every forked worker pokes after each record and done
-    // marker; end 0 wakes the loop below.
+    // The channel every forked worker pokes after each record; end 0
+    // wakes the loop below.
     Channel records;
     if (forking) {
         if (!openChannel(records.fd))
@@ -419,6 +418,17 @@ runSpoolBroker(const std::string &campaignJson,
         return true;
     };
 
+    // True when local process `pid` holds an unexpired lease on a
+    // shard not yet retired.
+    const auto holdsLiveLease = [&](pid_t pid, double now) {
+        return std::any_of(shards.begin(), shards.end(), [&](const auto &kv) {
+            Lease l;
+            return !retired.count(kv.first) &&
+                   spool.readLease(kv.first, kv.second.token, l) &&
+                   l.host == myHost && l.pid == pid && l.deadline > now;
+        });
+    };
+
     // The reclamation ladder for a shard whose worker is presumed
     // dead: salvage what its stream already holds, fence the worker
     // off by bumping the token (durably, before the shard can be
@@ -434,7 +444,6 @@ runSpoolBroker(const std::string &campaignJson,
         for (const SpoolRecord &rec : recs)
             mergeRecord(rec, s.token);
         scanner.forget(s.id);
-        spool.clearDone(s.id);
         s.cells.erase(std::remove_if(s.cells.begin(), s.cells.end(),
                                      [&](std::uint64_t c) {
                                          return c < n && resolved[c];
@@ -489,14 +498,21 @@ runSpoolBroker(const std::string &campaignJson,
     };
 
     // Keep local worker capacity up: crashed workers respawn while work
-    // remains. After a pre-claim death, one unproven child at a time,
+    // remains, never more of them than shards a worker can still
+    // claim. After a pre-claim death, one unproven child at a time,
     // so a worker that cannot start costs three forks, not three
     // rounds. A child runs the cells from this process's memory and
     // closes every descriptor of the broker's it inherited: without
     // the broker's ends of its siblings' wake channels, each child
     // sees EOF on its own once the broker closes its end.
     const auto topUpWorkers = [&]() {
-        while (forking && children.size() < opt.workers) {
+        const std::size_t open = static_cast<std::size_t>(
+            std::count_if(shards.begin(), shards.end(), [&](const auto &kv) {
+                return !retired.count(kv.first) &&
+                       !allCellsResolved(kv.second);
+            }));
+        while (forking && children.size() < std::min<std::size_t>(
+                                                opt.workers, open)) {
             if (preClaimStreak > 0 &&
                 std::any_of(children.begin(), children.end(),
                             [&](const LocalWorker &c) {
@@ -540,12 +556,9 @@ runSpoolBroker(const std::string &campaignJson,
         }
 
     try {
-        // Fork before publishing: the children start claiming the
-        // first shard while the broker still publishes the rest, each
-        // publish poking one of them to rescan.
-        if (remaining > 0)
-            topUpWorkers();
-        // Publish shards for unresolved cells no shard covers yet.
+        // Shards for unresolved cells no shard covers yet, published
+        // below.
+        std::vector<std::string> fresh;
         {
             ShardSpec next;
             const std::size_t chunk =
@@ -561,11 +574,7 @@ runSpoolBroker(const std::string &campaignJson,
                 next.token = 1;
                 next.attempt = 0;
                 next.budget = budget;
-                spool.publishShard(next);
-                // One child per new shard, in turn: poking all of them
-                // would send every idle child after the same shard.
-                if (!children.empty())
-                    poke(children[shards.size() % children.size()].wake);
+                fresh.push_back(next.id);
                 shards.emplace(next.id, next);
                 next.cells.clear();
             };
@@ -577,6 +586,18 @@ runSpoolBroker(const std::string &campaignJson,
                     flush();
             }
             flush();
+        }
+        // Fork before publishing: the children start claiming the
+        // first shard while the broker still publishes the rest, each
+        // publish poking one of them to rescan.
+        if (remaining > 0)
+            topUpWorkers();
+        for (std::size_t k = 0; k < fresh.size(); ++k) {
+            spool.publishShard(shards.at(fresh[k]));
+            // One child per new shard, in turn: poking all of them
+            // would send every idle child after the same shard.
+            if (!children.empty())
+                poke(children[k % children.size()].wake);
         }
 
         while (remaining > 0) {
@@ -608,17 +629,6 @@ runSpoolBroker(const std::string &campaignJson,
                 if (allCellsResolved(s)) {
                     retired.insert(s.id);
                     scanner.forget(s.id);
-                    continue;
-                }
-
-                std::uint32_t doneToken = 0;
-                if (spool.readDone(s.id, doneToken) &&
-                    doneToken == s.token) {
-                    // The worker claims it streamed every cell, yet
-                    // some are missing after a full scan: a torn tail
-                    // or a lying worker. Same ladder as a death.
-                    reclaimShard(s, "done marker without all cells "
-                                    "(stream torn or incomplete)");
                     continue;
                 }
 
@@ -681,14 +691,17 @@ runSpoolBroker(const std::string &campaignJson,
                     // Dead worker. Kill it first when it is our own
                     // child — a local non-cooperative hang would
                     // otherwise outlive its reclamation and hold a
-                    // process slot forever.
+                    // process slot forever — unless it holds a live
+                    // lease elsewhere: then this lease was kept on a
+                    // finished shard whose stream lacks a cell, and
+                    // its holder is busy on another shard.
                     std::string why =
                         "lease expired (token " +
                         std::to_string(lease.token) + ", pid " +
                         std::to_string(lease.pid) + " on " +
                         lease.host + ", ttl " + fmtSecs(opt.leaseTtl) +
                         "s)";
-                    if (mine) {
+                    if (mine && !holdsLiveLease(holder, now)) {
                         ::kill(holder, SIGKILL);
                         why += "; worker killed";
                     }
@@ -802,14 +815,12 @@ workShard(Spool &spool, const std::vector<std::string> &cellKeys,
         if (!opt.fingerprint.empty() &&
             s.fingerprint != opt.fingerprint)
             continue; // config skew: not our campaign build
-        std::uint32_t doneToken = 0;
-        if (spool.readDone(id, doneToken) && doneToken == s.token)
-            continue;
         Lease existing;
         if (spool.probeLease(id, s.token, existing) !=
             LeaseProbe::Absent)
-            continue; // held (worker, broker backoff pacing, or a
-                      // corrupt lease the broker will heal)
+            continue; // held (a worker's, kept once it finished the
+                      // shard; broker backoff pacing; or a corrupt
+                      // lease the broker will heal)
         Lease lease;
         if (!spool.claimLease(s, opt.leaseTtl, lease))
             continue; // lost the claim race
@@ -899,16 +910,13 @@ workShard(Spool &spool, const std::vector<std::string> &cellKeys,
         }
         JobWatchdog::progressHook({}, 0.2);
 
-        if (lost)
-            return true; // fenced off; our lease is not ours to touch
-        if (streamedAll) {
-            spool.markDone(s.id, s.token);
-            if (notify >= 0)
-                poke(notify);
-        }
-        // Not streamedAll without being fenced (I/O failure, foreign
-        // cell index): release and let the broker's ladder decide.
-        spool.releaseLease(lease);
+        // A shard streamed whole keeps its lease: held at this token,
+        // it makes every worker skip the shard, and the broker retires
+        // the shard on its stream alone. A fenced-off lease is not ours
+        // to touch. Otherwise (I/O failure, foreign cell index) release
+        // it and let the broker's ladder decide.
+        if (!streamedAll && !lost)
+            spool.releaseLease(lease);
         return true;
     }
     return false;

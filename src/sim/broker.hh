@@ -43,6 +43,10 @@
  * worker — even one alive on another host that the broker cannot
  * kill — writes into the void. Workers double-check the shard token
  * on every lease renewal and abandon the shard the moment it moves.
+ * A worker that streamed every cell of a shard keeps its lease, which
+ * turns every other worker away; the broker retires the shard on its
+ * stream alone, and reclaims it on lease expiry if the stream lacks a
+ * cell.
  *
  * Wake-ups (sim/spool_wait.hh): forked workers tell the broker about
  * each record over a socket pair and learn that the campaign is over
@@ -70,8 +74,9 @@ struct BrokerOptions
     /** Spool directory (created if absent). */
     std::string spool;
 
-    /** Local worker processes to fork; 0 forks none (external
-     *  workers only — tests, or hand-started remote workers). Three
+    /** Local worker processes to fork, at most one per shard not yet
+     *  retired; 0 forks none (external workers only — tests, or
+     *  hand-started remote workers). Three
      *  children in a row that exit before they are seen holding a
      *  lease stop the respawning. */
     unsigned workers = 0;
@@ -148,8 +153,9 @@ struct SpoolWorkerOptions
 };
 
 /**
- * Claim and execute at most one shard: stream one Record per cell,
- * renew the lease on instruction progress, and write the done marker.
+ * Claim and execute at most one shard: stream one Record per cell and
+ * renew the lease on instruction progress. A shard streamed whole
+ * keeps its lease, which is what makes every other worker skip it.
  * Returns false when nothing was claimable. The scan starts at a
  * shard picked from this process's pid and host, so workers spread
  * over the shards instead of racing for the same first one. Exposed

@@ -200,6 +200,16 @@ parseCount(const std::string &flag, const std::string &s)
     return v;
 }
 
+std::uint32_t
+parseCount32(const std::string &flag, const std::string &s)
+{
+    const std::uint64_t v = parseCount(flag, s);
+    if (v > ~std::uint32_t(0))
+        throw ConfigError(flag + " value out of range: '" + s + "'",
+                          {"options", flag, s});
+    return static_cast<std::uint32_t>(v);
+}
+
 double
 parseReal(const std::string &flag, const std::string &s)
 {
@@ -264,17 +274,14 @@ parseIsolation(const std::string &s)
 std::uint32_t
 parseRetries(const std::string &flag, const std::string &s)
 {
-    const std::uint64_t v = parseCount(flag, s);
+    const std::uint32_t v = parseCount32(flag, s);
     if (v == 0)
         throw ConfigError(flag + " must be a positive attempt budget "
                               "(got '" + s + "'); a cell needs at "
                               "least one attempt, and --max-retries=1 "
                               "means never retry",
                           {"options", flag, s});
-    if (v > ~std::uint32_t(0))
-        throw ConfigError(flag + " value out of range: '" + s + "'",
-                          {"options", flag, s});
-    return static_cast<std::uint32_t>(v);
+    return v;
 }
 
 } // namespace pinte

@@ -85,6 +85,10 @@ ReportFormat parseReportFormat(const std::string &s);
  */
 std::uint64_t parseCount(const std::string &flag, const std::string &s);
 
+/** parseCount() for a value held in 32 bits (--jobs): anything wider
+ *  is fatal rather than silently wrapped. */
+std::uint32_t parseCount32(const std::string &flag, const std::string &s);
+
 /** Parse a finite non-negative real for option `flag`; fatal otherwise. */
 double parseReal(const std::string &flag, const std::string &s);
 

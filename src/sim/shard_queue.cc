@@ -144,7 +144,6 @@ Spool::Spool(std::string root) : root_(std::move(root))
     makeDir(root_ + "/shards");
     makeDir(root_ + "/leases");
     makeDir(root_ + "/results");
-    makeDir(root_ + "/done");
 }
 
 std::string
@@ -164,12 +163,6 @@ std::string
 Spool::resultFile(const std::string &id, std::uint32_t token) const
 {
     return root_ + "/results/" + id + ".t" + std::to_string(token);
-}
-
-std::string
-Spool::doneFile(const std::string &id) const
-{
-    return root_ + "/done/" + id + ".done";
 }
 
 bool
@@ -383,34 +376,6 @@ Spool::sweepStaleLeases(const std::string &id, std::uint32_t curToken)
             ::unlink((dir + "/" + name).c_str());
     }
     ::closedir(d);
-}
-
-void
-Spool::markDone(const std::string &id, std::uint32_t token)
-{
-    AtomicFile f(doneFile(id));
-    f.stream() << token << "\n";
-    f.commit();
-}
-
-bool
-Spool::readDone(const std::string &id, std::uint32_t &token) const
-{
-    std::string text;
-    if (!slurp(doneFile(id), text))
-        return false;
-    try {
-        token = static_cast<std::uint32_t>(std::stoul(text));
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
-
-void
-Spool::clearDone(const std::string &id)
-{
-    ::unlink(doneFile(id).c_str());
 }
 
 void

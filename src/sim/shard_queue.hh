@@ -42,17 +42,18 @@
  *                        of a shard's *current* token, so a stale
  *                        worker writing after reclamation talks to a
  *                        file nobody will ever read.
- *   done/<id>.done       marker written by a worker after streaming
- *                        every cell of the shard (content: token)
  *   complete             marker: the campaign is finished; idle
  *                        workers exit
  *
- * (Spools from older builds may also carry a baselines/ directory;
- * nothing reads it.)
+ * A worker that streamed every cell of a shard keeps its lease: a
+ * held lease at the current token is what makes every other worker
+ * skip the shard, and the broker retires the shard once its stream
+ * resolves every cell. (Spools from older builds may also carry
+ * baselines/ and done/ directories; nothing reads them.)
  *
  * Durability rules: nothing is deleted mid-campaign (a broker restart
- * rebuilds its whole merge state by re-scanning shards, result
- * streams and done markers); every file that must be read whole is
+ * rebuilds its whole merge state by re-scanning shards and result
+ * streams); every file that must be read whole is
  * written via AtomicFile; result streams are append-only with each
  * record CRC-framed and fsync'd, so a torn tail is detectable and
  * everything before it is salvageable. Every fsync on a worker's path
@@ -201,7 +202,8 @@ class Spool
      */
     bool renewLease(const Lease &l, double ttl);
     /** Owner releases its claim (only if the file still carries its
-     *  identity). */
+     *  identity) after failing to stream its shard; a worker that
+     *  streamed every cell keeps its lease. */
     void releaseLease(const Lease &l);
     /** Broker forcibly removes the lease of (id, token) during
      *  reclamation. */
@@ -221,16 +223,9 @@ class Spool
                           std::uint32_t curToken);
     /// @}
 
-    /// @name Result streams and markers
+    /// @name Campaign-complete marker
     /// @{
-    /** Worker writes the done marker for (id, token). */
-    void markDone(const std::string &id, std::uint32_t token);
-    /** Read a done marker; false when absent. */
-    bool readDone(const std::string &id, std::uint32_t &token) const;
-    /** Broker removes a done marker when reclaiming a shard whose
-     *  done claim did not cover every cell. */
-    void clearDone(const std::string &id);
-    /** Campaign-complete marker (broker writes at the very end). */
+    /** Broker writes it at the very end. */
     void markComplete();
     bool complete() const;
     /// @}
@@ -240,7 +235,6 @@ class Spool
                           std::uint32_t token) const;
     std::string resultFile(const std::string &id,
                            std::uint32_t token) const;
-    std::string doneFile(const std::string &id) const;
 
   private:
     std::string root_;

@@ -21,7 +21,7 @@ namespace
 {
 
 /** Every change a spool writer can make: AtomicFile renames, link()ed
- *  claims, unlinked leases and markers, result-stream appends. */
+ *  claims, unlinked leases, result-stream appends. */
 constexpr std::uint32_t kSpoolEvents = IN_CREATE | IN_MOVED_TO |
                                        IN_MOVED_FROM | IN_DELETE |
                                        IN_MODIFY | IN_CLOSE_WRITE;
@@ -52,7 +52,7 @@ SpoolWaiter::watchFiles(const std::string &root)
         degrade(std::string("inotify_init1: ") + std::strerror(errno));
         return;
     }
-    for (const char *sub : {"", "/shards", "/leases", "/results", "/done"}) {
+    for (const char *sub : {"", "/shards", "/leases", "/results"}) {
         const std::string dir = root + sub;
         const int wd =
             ::inotify_add_watch(inotify_, dir.c_str(), kSpoolEvents);

@@ -5,7 +5,7 @@
  * A SpoolWaiter blocks in a single poll() until one of its sources
  * fires or a deadline passes:
  *  - file watches: one inotify descriptor on the spool root and its
- *    shards/, leases/, results/ and done/ directories, armed only
+ *    shards/, leases/ and results/ directories, armed only
  *    where a writer the waiter's owner did not fork can exist (a
  *    hand-started worker, or a broker that sees one);
  *  - one pidfd per local child it was told about;

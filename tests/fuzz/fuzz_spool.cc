@@ -14,9 +14,8 @@
  *  - shards: the bytes as a shard spec through shardFromJson, and as
  *    a shard file (bare and wrapped in a Shard frame) through
  *    Spool::readShard;
- *  - leases and done markers: the bytes as a lease file and a done
- *    marker in a scratch spool, through Spool::probeLease and
- *    Spool::readDone.
+ *  - leases: the bytes as a lease file in a scratch spool, through
+ *    Spool::probeLease.
  * None of them may crash or throw.
  *
  * Same build modes as fuzz_trace.cc: replay driver by default (the
@@ -158,10 +157,6 @@ checkFiles(const std::string &bytes)
     Lease lease;
     double mtime = 0.0;
     (void)spool.probeLease(id, 1, lease, &mtime);
-
-    ScratchSpool::put(spool.doneFile(id), bytes);
-    std::uint32_t token = 0;
-    (void)spool.readDone(id, token);
 }
 
 } // namespace

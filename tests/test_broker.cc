@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -183,6 +184,153 @@ TEST(Broker, CompletedSpoolMergesWithoutExecution)
 }
 
 /**
+ * A worker that streamed every cell of a shard keeps its lease, and
+ * that lease alone turns the next worker away: a second step over the
+ * finished shard claims nothing, and no done marker is written.
+ */
+TEST(Broker, FinishedShardKeepsItsLease)
+{
+    const std::string root = freshSpool("kept_lease");
+    const auto keys = syntheticKeys(3);
+
+    std::atomic<std::size_t> calls{0};
+    const ProcJobFn fn = [&](std::size_t i) {
+        ++calls;
+        return syntheticResult(i);
+    };
+
+    Spool spool(root);
+    spool.writeCampaign(kDoc);
+    ShardSpec s;
+    s.id = "s000000";
+    s.fingerprint = kFp;
+    s.cells = {0, 1, 2};
+    spool.publishShard(s);
+
+    EXPECT_TRUE(spoolWorkerStep(spool, keys, fn, workerOptions()));
+    EXPECT_FALSE(spoolWorkerStep(spool, keys, fn, workerOptions()));
+    EXPECT_EQ(calls.load(), s.cells.size());
+
+    Lease l;
+    ASSERT_TRUE(spool.readLease(s.id, s.token, l));
+    EXPECT_EQ(l.pid, static_cast<std::int64_t>(::getpid()));
+    EXPECT_FALSE(std::filesystem::exists(root + "/done"));
+}
+
+/**
+ * A finished shard whose stream later lost its last record (damage to
+ * an fsync'd file) is reclaimed once its kept lease expires, and the
+ * retry re-runs only the lost cell: the report equals a clean run's.
+ */
+TEST(Broker, DamagedStreamIsReclaimedOnLeaseExpiry)
+{
+    const std::string root = freshSpool("damaged_stream");
+    const auto keys = syntheticKeys(3);
+
+    BrokerOptions opt = brokerOptions(root);
+    opt.maxRetries = 2;
+    opt.backoffBase = 0.01;
+    opt.leaseTtl = 0.3;
+    SpoolWorkerOptions wopt = workerOptions();
+    wopt.leaseTtl = opt.leaseTtl;
+
+    std::vector<std::size_t> ran;
+    const ProcJobFn fn = [&](std::size_t i) {
+        ran.push_back(i);
+        return syntheticResult(i);
+    };
+
+    Spool spool(root);
+    spool.writeCampaign(kDoc);
+    ShardSpec s;
+    s.id = "s000000";
+    s.fingerprint = kFp;
+    s.budget = opt.maxRetries;
+    s.cells = {0, 1, 2};
+    spool.publishShard(s);
+    ASSERT_TRUE(spoolWorkerStep(spool, keys, fn, wopt));
+    ASSERT_EQ(ran.size(), 3u);
+
+    // Cut the last record in half.
+    const std::string stream = spool.resultFile(s.id, s.token);
+    const auto size = std::filesystem::file_size(stream);
+    std::vector<SpoolRecord> recs;
+    StreamScanner(spool).poll(s.id, s.token, recs);
+    ASSERT_EQ(recs.size(), 3u);
+    const std::uint64_t last =
+        encodeFrame(FrameType::Record, packRecord(recs.back())).size();
+    std::filesystem::resize_file(stream, size - last / 2);
+
+    std::vector<RunResult> results;
+    std::thread broker([&] {
+        results = runSpoolBroker(kDoc, kFp, keys, opt);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!spool.complete() &&
+           std::chrono::steady_clock::now() < deadline) {
+        if (!spoolWorkerStep(spool, keys, fn, wopt))
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    broker.join();
+
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 2}));
+    ASSERT_EQ(results.size(), 3u);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_FALSE(results[i].failed()) << results[i].error.message;
+        EXPECT_EQ(canonical(results[i]), canonical(syntheticResult(i)));
+    }
+    ASSERT_TRUE(spool.readShard(s.id, s));
+    EXPECT_EQ(s.token, 2u);
+    EXPECT_EQ(s.cells, (std::vector<std::uint64_t>{2}));
+    ASSERT_EQ(s.attemptLog.size(), 1u);
+    EXPECT_NE(s.attemptLog[0].find("lease expired"), std::string::npos)
+        << s.attemptLog[0];
+}
+
+/**
+ * A forked worker's kept lease can expire while the worker runs the
+ * next shard (here the finished shard's record does not merge: a
+ * non-finite metric is written as null). The broker reclaims the
+ * finished shard without killing the busy worker, so the next shard
+ * completes on its first attempt.
+ */
+TEST(Broker, ExpiredKeptLeaseSparesABusyWorker)
+{
+    const std::string root = freshSpool("kept_lease_busy");
+    const auto keys = syntheticKeys(2);
+
+    BrokerOptions opt = brokerOptions(root);
+    opt.workers = 1;
+    opt.leaseTtl = 0.5;
+    const ProcJobFn fn = [&](std::size_t i) {
+        RunResult r = syntheticResult(i);
+        if (i == 0) {
+            r.metrics.ipc = std::numeric_limits<double>::quiet_NaN();
+            return r;
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::uint64_t inst = 1; secondsSince(t0) < 1.5; ++inst) {
+            JobWatchdog::heartbeat(inst);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return r;
+    };
+    const auto results = runSpoolBroker(kDoc, kFp, keys, opt, fn);
+
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results[0].failed());
+    ASSERT_EQ(results[0].error.attemptLog.size(), 1u);
+    EXPECT_NE(results[0].error.attemptLog[0].find("lease expired"),
+              std::string::npos);
+    EXPECT_EQ(results[0].error.attemptLog[0].find("worker killed"),
+              std::string::npos)
+        << results[0].error.attemptLog[0];
+    EXPECT_FALSE(results[1].failed()) << results[1].error.message;
+    EXPECT_EQ(canonical(results[1]), canonical(syntheticResult(1)));
+}
+
+/**
  * Two completion records for the same cell (a worker that crashed
  * after streaming, was retried, and both streams survive) must merge
  * first-wins: replaying a stream is idempotent.
@@ -213,7 +361,6 @@ TEST(Broker, DuplicateCompletionIsIdempotent)
         rec.runJson = runJsonOf(poison); // duplicate, must lose
         ASSERT_TRUE(out.append(rec));
     }
-    spool.markDone(s.id, s.token);
 
     const auto results =
         runSpoolBroker(kDoc, kFp, keys, brokerOptions(root));
@@ -253,7 +400,8 @@ TEST(Broker, AdoptionSalvagesSupersededStreams)
         rec.runJson = runJsonOf(syntheticResult(0));
         ASSERT_TRUE(out.append(rec));
     }
-    // No done marker: only adoption-time salvage can resolve this.
+    // The current token's stream is empty: only adoption-time salvage
+    // can resolve this.
 
     const auto results =
         runSpoolBroker(kDoc, kFp, keys, brokerOptions(root));
@@ -265,8 +413,8 @@ TEST(Broker, AdoptionSalvagesSupersededStreams)
 /**
  * Lease fencing, live: a worker that claims a shard, stalls past the
  * lease TTL, and then completes anyway must not corrupt the campaign.
- * Its post-reclamation record and done marker carry the superseded
- * token and are ignored; the retried execution's data wins, bitwise.
+ * Its post-reclamation record carries the superseded token and is
+ * ignored; the retried execution's data wins, bitwise.
  */
 TEST(Broker, StaleWorkerIsFencedAfterReclamation)
 {
@@ -318,8 +466,8 @@ TEST(Broker, StaleWorkerIsFencedAfterReclamation)
     }
 
     // The stale worker wakes up and "finishes" with poisoned data
-    // under its superseded token: record and done marker must both be
-    // fenced off by the token checks.
+    // under its superseded token: the record must be fenced off by the
+    // token checks.
     RunResult poison = syntheticResult(0);
     poison.metrics.ipc = 999.0;
     {
@@ -331,7 +479,6 @@ TEST(Broker, StaleWorkerIsFencedAfterReclamation)
         rec.runJson = runJsonOf(poison);
         ASSERT_TRUE(out.append(rec));
     }
-    spool.markDone(s.id, /*token=*/1);
 
     // A healthy worker picks the shard up at the bumped token (once
     // the broker breaks the expired backoff lease) and completes.

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the string option parsers backing the pintesim CLI.
+ * Tests for the string option parsers backing the pintesim CLI and
+ * the benches' BenchOptions.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <string>
 
 #include "sim/options.hh"
+
+#include "../bench/bench_common.hh"
 
 using namespace pinte;
 
@@ -238,6 +241,35 @@ TEST(ParseRetries, RejectsNegativeAndMalformed)
                  "non-negative integer");
     EXPECT_ERROR(parseRetries("--max-retries", "99999999999999999999"),
                  ConfigError, "out of range");
+}
+
+TEST(ParseCount32, AcceptsTheWholeUnsignedRange)
+{
+    EXPECT_EQ(parseCount32("--jobs", "0"), 0u);
+    EXPECT_EQ(parseCount32("--jobs", "4"), 4u);
+    EXPECT_EQ(parseCount32("--jobs", "4294967295"), 4294967295u);
+}
+
+TEST(ParseCount32, RejectsWiderValuesNamingTheFlag)
+{
+    // 2^32 + 2 once wrapped to 2 workers.
+    EXPECT_ERROR(parseCount32("--jobs", "4294967298"), ConfigError,
+                 "--jobs value out of range");
+    EXPECT_ERROR(parseCount32("--jobs", "4294967296"), ConfigError,
+                 "--jobs value out of range");
+    EXPECT_ERROR(parseCount32("--jobs", "-1"), ConfigError,
+                 "non-negative integer");
+}
+
+TEST(BenchOptions, RejectsJobsWiderThan32Bits)
+{
+    char prog[] = "bench", jobs[] = "--jobs=4294967298";
+    char *argv[] = {prog, jobs};
+    EXPECT_ERROR(bench::BenchOptions::parse(2, argv), ConfigError,
+                 "--jobs value out of range");
+    char ok[] = "--jobs=3";
+    argv[1] = ok;
+    EXPECT_EQ(bench::BenchOptions::parse(2, argv).jobs, 3u);
 }
 
 TEST(IsolationMode, ToStringNames)

@@ -38,10 +38,12 @@ Standard library only. Exit 0 on full success, 1 with a diagnostic
 on the first violated expectation.
 """
 
+import binascii
 import json
 import os
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -193,7 +195,36 @@ def lease_pids(spool):
                 pids.append(int(json.load(f)["pid"]))
         except (OSError, ValueError, KeyError):
             pass
-    return [p for p in pids if p > 0]
+    # A worker holds the leases of the shards it finished as well.
+    return sorted(set(p for p in pids if p > 0))
+
+
+def holds_whole_record(path):
+    """True when the result stream at `path` starts with a whole,
+    CRC-valid Record frame (src/sim/wire.hh: u32 magic, u8 type, u32
+    length, payload, u32 crc32 over type, length and payload)."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError:
+        return False
+    if len(data) < 9:
+        return False
+    magic, ftype, length = struct.unpack_from("<IBI", data)
+    end = 9 + length
+    if magic != 0x57544e50 or ftype != 6 or len(data) < end + 4:
+        return False
+    (crc,) = struct.unpack_from("<I", data, end)
+    return binascii.crc32(data[4:end]) == crc
+
+
+def finished_streams(spool):
+    """Result streams holding a whole record: with one cell per shard,
+    the cells workers have finished."""
+    results = os.path.join(spool, "results")
+    names = os.listdir(results) if os.path.isdir(results) else []
+    return sum(holds_whole_record(os.path.join(results, n))
+               for n in names)
 
 
 def main():
@@ -267,19 +298,18 @@ def main():
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL,
                               start_new_session=True)
-    done_dir = os.path.join(spool, "done")
     deadline = time.monotonic() + 120
     try:
         while True:
             if broker.poll() is not None:
                 fail("kill: campaign finished before the kill "
                      "landed; grow the big-cell sizing")
-            done = (len(os.listdir(done_dir))
-                    if os.path.isdir(done_dir) else 0)
+            done = finished_streams(spool)
             if 0 < done < CELLS:
                 break
             if time.monotonic() > deadline:
-                fail("kill: no done markers after 120s")
+                fail("kill: no result stream holds a whole record "
+                     "after 120s")
             time.sleep(0.05)
         workers = lease_pids(spool)
         os.killpg(broker.pid, signal.SIGKILL)

@@ -1,27 +1,32 @@
 # ctest helper: the spool's fsync budget (spool.fsync_budget).
 #
 # Every fsync on a spool worker's path must guard a file that crash
-# recovery reads: per cell, the staged claim, the result record, and
-# the done marker plus its directory — four, and at most one more for
-# a claim race lost after staging. Two 12-cell gamess sweeps run under
-# the fsync_count LD_PRELOAD shim (one cell per shard; three cells per
-# shard with periodic sampling); the workers together must stay within
-# 5 fsyncs per cell, and each report must equal the process backend's
-# modulo cpu_seconds.
+# recovery reads: per cell, the staged claim and the result record —
+# two, and at most one more for a claim race lost after staging (a
+# worker that streamed a whole shard just keeps its lease). Three
+# 12-cell gamess sweeps run under the fsync_count LD_PRELOAD shim: one
+# cell per shard, three cells per shard with periodic sampling, and
+# the whole sweep as one shard. The workers together must stay within
+# 3 fsyncs per cell, the broker must fork no more workers than there
+# are shards (one for the single-shard sweep, although --jobs is 2),
+# and each report must equal the process backend's modulo
+# cpu_seconds.
 #
 # Invoked from tools/CMakeLists.txt with -DPINTESIM=... -DSHIM=...
 # -DPYTHON=... -DCHECKER=<check_bitwise.py> -DWORKDIR=...
 
 set(cells 12)
-set(budget_per_cell 5)
+set(budget_per_cell 3)
 math(EXPR budget "${cells} * ${budget_per_cell}")
 set(base -w 416.gamess --sweep --warmup 2000 --roi 4000 --jobs 2 --json)
 
-foreach(variant single sharded)
+foreach(variant single sharded whole)
     if(variant STREQUAL "single")
         set(extra "")
-    else()
+    elseif(variant STREQUAL "sharded")
         set(extra --shard-size 3 --sample-mode periodic)
+    else()
+        set(extra --shard-size 12)
     endif()
     set(dir "${WORKDIR}/fsync_budget_${variant}")
     file(REMOVE_RECURSE ${dir})
@@ -55,6 +60,11 @@ foreach(variant single sharded)
         message(FATAL_ERROR
             "${variant}: no worker reported an fsync count; is the "
             "shim loaded?\n${err}")
+    endif()
+    if(variant STREQUAL "whole" AND NOT workers EQUAL 1)
+        message(FATAL_ERROR
+            "${variant}: the broker forked ${workers} workers for one "
+            "shard:\n${err}")
     endif()
     set(total 0)
     foreach(line IN LISTS lines)

@@ -481,7 +481,7 @@ pinteMain(int argc, char **argv)
         } else if (a == "--seed") {
             params.runSeed = parseCount(a, need());
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(parseCount(a, need()));
+            jobs = parseCount32(a, need());
         } else if (a == "--job-timeout") {
             sc.jobTimeout =
                 static_cast<double>(parseTimeout(a, need()));
