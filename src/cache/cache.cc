@@ -120,6 +120,9 @@ Cache::Cache(const CacheConfig &config, MemoryLevel *next)
     const auto *down = dynamic_cast<const Cache *>(next);
     cleanEvictsDown_ =
         down && down->config_.inclusion == InclusionPolicy::Exclusive;
+    theftWalkReentrant_ =
+        down && (down->config_.inclusion == InclusionPolicy::Inclusive ||
+                 down->theftWalkReentrant_);
     if (!isPowerOfTwo(config.numSets))
         throw ConfigError("cache '" + config.name +
                               "': numSets must be a power of 2",
@@ -363,6 +366,12 @@ void
 Cache::promoteWay(unsigned set, unsigned way)
 {
     withPolicy([&](auto &p) { p.onHit(set, way); });
+}
+
+void
+Cache::promoteLowest(unsigned set, unsigned k, std::uint8_t *order)
+{
+    withPolicy([&](auto &p) { p.promoteLowest(set, k, order); });
 }
 
 void

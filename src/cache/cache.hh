@@ -146,6 +146,21 @@ class Cache : public MemoryLevel
     /** Promote (set, way) as if it were demand-accessed. */
     void promoteWay(unsigned set, unsigned way);
     /**
+     * k times, promote whichever way holds rank 0 at that moment;
+     * order[0..k) receives the promoted ways in visit order (see
+     * ReplacementPolicy::promoteLowest).
+     */
+    void promoteLowest(unsigned set, unsigned k, std::uint8_t *order);
+    /**
+     * How many PROMOTEs the PInTE walk may run before it invalidates
+     * their ways: assoc, or 1 when a theft writeback from this cache
+     * can reach an Inclusive cache below. That cache's allocation may
+     * back-invalidate a way of the walked set, which changes the
+     * order the walk's next promotion must see.
+     */
+    unsigned promoteChunk() const
+    { return theftWalkReentrant_ ? 1 : config_.assoc; }
+    /**
      * Invalidate (set, way), writing back if dirty, and account the
      * eviction as a system-mocked theft against the block's owner.
      */
@@ -256,6 +271,9 @@ class Cache : public MemoryLevel
     /** next_ is a Cache whose inclusion policy is Exclusive: clean
      *  evictions go down to it too. */
     bool cleanEvictsDown_ = false;
+    /** Some cache along the next_ chain is Inclusive, so a writeback
+     *  from here can come back as a back-invalidation of this cache. */
+    bool theftWalkReentrant_ = false;
     std::vector<Cache *> upstreams_;
     ReplacementHook *hook_ = nullptr;
 

@@ -1,5 +1,7 @@
 #include "pinte.hh"
 
+#include <algorithm>
+
 #include "common/error.hh"
 #include "common/invariant.hh"
 #include "common/logging.hh"
@@ -55,58 +57,68 @@ PInte::onAccess(Cache &cache, unsigned set, CoreId core, Cycle cycle)
     // on a previously stolen slot (Fig 2b), so the walk always
     // promotes, but only valid blocks count as thefts.
     //
-    // The walk reads the eviction order through one bulk ranks() call
-    // per permutation version instead of assoc per-way rank() calls.
-    // Theft invalidation never touches policy state, so the
-    // permutation only changes when PROMOTE runs: with it enabled the
-    // ranks are re-read each iteration (for stack policies each
-    // promotion rotates a fresh block into rank 0; a policy whose
-    // promotion does not reorder, e.g. Random, keeps re-selecting the
-    // same already-stolen slot, and only the first selection counts a
-    // theft); without it the permutation is frozen for the whole walk
-    // and the single snapshot is exact — the walk then climbs ranks
-    // 0..k-1 itself to reach k distinct blocks instead of re-selecting
-    // the same way every iteration.
-    std::uint8_t ranks[64];
-    bool ranks_fresh = false;
-    unsigned w = 0;
-    unsigned stack_rank = 0;
-    while (blocks_evict > 0 && w < assoc) {
-        unsigned way = 0;
-        switch (config_.select) {
-          case BlockSelectPolicy::StackEnd: {
-            if (!ranks_fresh) {
-                cache.ranks(set, ranks);
-                ranks_fresh = true;
-            }
-            const unsigned target = config_.promote ? 0 : stack_rank;
-            for (unsigned cand = 0; cand < assoc; ++cand) {
-                if (ranks[cand] == target) {
-                    way = cand;
-                    break;
-                }
-            }
-            ++stack_rank;
-            break;
-          }
-          case BlockSelectPolicy::RandomValid:
-            way = static_cast<unsigned>(rng_.drawRange(assoc));
-            break;
-        }
-
-        if (config_.promote) {
-            cache.promoteWay(set, way);
-            ++stats_.promotions;
-            ranks_fresh = false; // promotion may reorder the ranks
-        }
-
+    // With PROMOTE, each step selects the block at rank 0 as the
+    // previous step's promotion left it. Theft invalidation never
+    // touches policy state, so the k promotions run first, as one
+    // Cache::promoteLowest call, and their ways are invalidated after
+    // it in visit order: every writeback still leaves at the same
+    // cycle and in the same order. For a stack policy the k
+    // promotions are one rotation — the way at original rank i < k
+    // ends at rank assoc-k+i and a way at rank j >= k at j-k — which
+    // LRU applies in a single SWAR pass; other policies run the
+    // per-step loop inside the hook (a policy whose promotion does not
+    // reorder, e.g. Random, keeps re-selecting the same already-stolen
+    // slot, and only the first selection counts a theft). The one
+    // exception is a cache whose theft writebacks can reach an
+    // Inclusive cache below it: allocating the written-back line there
+    // may back-invalidate a way of this very set mid-walk, and
+    // onInvalidate moves that way back toward rank 0, which the next
+    // step must see. For such a cache promoteChunk() is 1, and the
+    // walk promotes and invalidates one block at a time.
+    //
+    // Without PROMOTE the permutation is frozen for the whole walk and
+    // one snapshot serves it: the walk climbs ranks 0..k-1 itself to
+    // reach k distinct blocks instead of re-selecting the same way.
+    const auto k = static_cast<unsigned>(blocks_evict);
+    const auto steal = [&](unsigned way) {
         if (cache.valid(set, way)) {
             cache.invalidateWayAsTheft(set, way, cycle);
             ++stats_.invalidations;
         }
-
-        --blocks_evict;
-        ++w;
+    };
+    std::uint8_t order[64];
+    switch (config_.select) {
+      case BlockSelectPolicy::StackEnd:
+        if (config_.promote) {
+            const unsigned chunk = cache.promoteChunk();
+            for (unsigned done = 0; done < k;) {
+                const unsigned n = std::min(chunk, k - done);
+                cache.promoteLowest(set, n, order);
+                stats_.promotions += n;
+                for (unsigned i = 0; i < n; ++i)
+                    steal(order[i]);
+                done += n;
+            }
+        } else {
+            std::uint8_t ranks[64];
+            cache.ranks(set, ranks);
+            for (unsigned way = 0; way < assoc; ++way)
+                if (ranks[way] < k)
+                    order[ranks[way]] = static_cast<std::uint8_t>(way);
+            for (unsigned i = 0; i < k; ++i)
+                steal(order[i]);
+        }
+        break;
+      case BlockSelectPolicy::RandomValid:
+        for (unsigned i = 0; i < k; ++i) {
+            const auto way = static_cast<unsigned>(rng_.drawRange(assoc));
+            if (config_.promote) {
+                cache.promoteWay(set, way);
+                ++stats_.promotions;
+            }
+            steal(way);
+        }
+        break;
     }
 
     // Every induction site is an audit site: promote-then-invalidate

@@ -37,13 +37,15 @@ namespace pinte
 /**
  * Which block BLOCK-SELECT targets. The paper's flow walks the
  * eviction end of the replacement stack; RandomValid is an ablation
- * that invalidates uniformly chosen valid blocks instead, breaking the
- * "steal what a real fill would steal" property.
+ * that draws each step's way uniformly over all assoc ways, valid or
+ * not, and invalidates it only when the drawn way holds a valid block
+ * (a draw that lands on an invalid way spends the step without a
+ * theft). It breaks the "steal what a real fill would steal" property.
  */
 enum class BlockSelectPolicy
 {
     StackEnd,    //!< the paper's Fig 4 flow
-    RandomValid, //!< ablation: uniform random valid block
+    RandomValid, //!< ablation: uniform random way, theft only if valid
 };
 
 /** Printable name for a block-select policy. */

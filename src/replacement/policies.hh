@@ -24,7 +24,9 @@
  *    (a branchless byte sweep);
  *  - invalidate re-inserts the way among the fresh group at the
  *    position its index dictates;
- *  - victim is the rank-0 way.
+ *  - victim is the rank-0 way;
+ *  - promoteLowest (PInTE's k-block PROMOTE run) is k touches of the
+ *    rank-0 way done as one rotation of the bottom k ranks.
  *
  * tests/test_replacement.cc cross-checks this against a reference
  * timestamp implementation over randomized operation sequences.
@@ -224,6 +226,39 @@ class LruPolicy final : public ReplacementPolicy
         r[k] = (r[k] & ~(0xffull << sh)) |
                (std::uint64_t(assoc_ - 1) << sh);
         fresh_[set] &= ~(1ull << way);
+    }
+
+    /**
+     * k touch()es of the rank-0 way in one pass. Each touch moves the
+     * current rank-0 way to the top and lowers every other rank by
+     * one, so after k of them the way at original rank i < k sits at
+     * assoc-k+i and a way at rank j >= k at j-k: rank b becomes
+     * (b - k) mod assoc. SWAR per byte (ranks <= 63, k <= 64):
+     * `b + (0x80 - k)` clears bit 7 exactly when b < k without
+     * carrying across lanes; those lanes gain assoc, then every valid
+     * lane loses k, so no lane ever borrows and unused lanes stay 0.
+     */
+    void
+    promoteLowest(unsigned set, unsigned k, std::uint8_t *order) override
+    {
+        if (k == 0)
+            return;
+        std::uint64_t *r = row(set);
+        const std::uint64_t bias = (0x80 - k) * kOnes;
+        std::uint64_t promoted = 0;
+        for (unsigned i = 0; i < words_; ++i) {
+            const std::uint64_t x = r[i];
+            const std::uint64_t low =
+                (~(x + bias) & kHigh & laneMask_[i]) >> 7;
+            for (std::uint64_t m = low; m; m &= m - 1) {
+                const unsigned way =
+                    i * 8 + static_cast<unsigned>(std::countr_zero(m)) / 8;
+                order[getByte(r, way)] = static_cast<std::uint8_t>(way);
+                promoted |= 1ull << way;
+            }
+            r[i] = x + low * assoc_ - (kOnes & laneMask_[i]) * k;
+        }
+        fresh_[set] &= ~promoted;
     }
 
   private:

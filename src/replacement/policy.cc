@@ -49,6 +49,17 @@ ReplacementPolicy::wayAtRank(unsigned set, unsigned r) const
 }
 
 void
+ReplacementPolicy::promoteLowest(unsigned set, unsigned k,
+                                 std::uint8_t *order)
+{
+    for (unsigned i = 0; i < k; ++i) {
+        const unsigned way = wayAtRank(set, 0);
+        onHit(set, way);
+        order[i] = static_cast<std::uint8_t>(way);
+    }
+}
+
+void
 ReplacementPolicy::auditSet(unsigned set) const
 {
     // assoc <= 64 (enforced by Cache), so a bitmask covers every rank.

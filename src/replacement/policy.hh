@@ -127,6 +127,18 @@ class ReplacementPolicy
      */
     virtual void ranks(unsigned set, std::uint8_t *out) const;
 
+    /**
+     * PInTE's PROMOTE sequence for a k-block walk: k times, promote
+     * (onHit) the way that is at rank 0 at that moment, writing the
+     * promoted ways into order[0..k) in visit order. The default is
+     * that loop — one bulk ranks() read per promotion — and is exact
+     * for any policy. A stack policy can override it with one pass:
+     * there the k promotions are a rotation of the bottom k ranks to
+     * the protected end (LruPolicy).
+     */
+    virtual void promoteLowest(unsigned set, unsigned k,
+                               std::uint8_t *order);
+
     /** Display name. */
     virtual const char *name() const = 0;
 
