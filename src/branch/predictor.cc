@@ -50,10 +50,11 @@ putI16Vec(SnapshotWriter &w, const std::vector<std::int16_t> &v)
         w.put32(static_cast<std::uint32_t>(static_cast<std::int32_t>(x)));
 }
 
+/** Restore `v`, which keeps the length its table was built with. */
 void
 getI16Vec(SnapshotReader &r, std::vector<std::int16_t> &v)
 {
-    v.resize(r.getCount(4));
+    r.getCountOf(v.size(), "branch");
     for (std::int16_t &x : v)
         x = static_cast<std::int16_t>(
             static_cast<std::int32_t>(r.get32()));
@@ -95,7 +96,7 @@ class Bimodal : public BranchPredictor
     void
     loadTableState(SnapshotReader &r) override
     {
-        table_ = r.getVec8();
+        r.getVec8Into(table_, "branch");
     }
 
   private:
@@ -145,7 +146,7 @@ class GShare : public BranchPredictor
     loadTableState(SnapshotReader &r) override
     {
         history_ = r.get64();
-        table_ = r.getVec8();
+        r.getVec8Into(table_, "branch");
     }
 
   private:
@@ -213,7 +214,7 @@ class Perceptron : public BranchPredictor
         history_ = r.get64();
         lastOutput_ = static_cast<int>(
             static_cast<std::int32_t>(r.get32()));
-        weights_.resize(r.getCount(8));
+        r.getCountOf(weights_.size(), "branch");
         for (auto &row : weights_)
             getI16Vec(r, row);
     }

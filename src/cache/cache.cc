@@ -688,16 +688,24 @@ Cache::saveState(SnapshotWriter &w) const
 void
 Cache::loadState(SnapshotReader &r)
 {
-    lines_ = r.getVec64();
-    owners_.resize(r.getCount(4));
+    // Every array keeps the length the geometry gave it, and no plane
+    // may name a way past the last, so a restored cache never indexes
+    // out of bounds.
+    const std::string comp = "cache:" + config_.name;
+    r.getVec64Into(lines_, comp);
+    r.getCountOf(owners_.size(), comp);
     for (CoreId &o : owners_)
         o = r.get32();
-    validBits_ = r.getVec64();
-    dirtyBits_ = r.getVec64();
-    prefetchedBits_ = r.getVec64();
-    wayMasks_ = r.getVec64();
-    occupancy_ = r.getVec64();
-    pending_.resize(r.getCount(16));
+    r.getVec64Into(validBits_, comp);
+    r.getVec64Into(dirtyBits_, comp);
+    r.getVec64Into(prefetchedBits_, comp);
+    for (std::size_t s = 0; s < validBits_.size(); ++s)
+        if ((validBits_[s] | dirtyBits_[s] | prefetchedBits_[s]) & ~fullMask_)
+            throw SimError("checkpoint block plane names a way past the last",
+                           {comp, "", std::to_string(s)});
+    r.getVec64Into(wayMasks_, comp);
+    r.getVec64Into(occupancy_, comp);
+    r.getCountOf(pending_.size(), comp);
     for (Pending &p : pending_) {
         p.line = r.get64();
         p.ready = r.get64();

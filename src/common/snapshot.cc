@@ -128,6 +128,41 @@ SnapshotReader::getCount(std::size_t elementBytes)
     return static_cast<std::size_t>(n);
 }
 
+void
+SnapshotReader::getCountOf(std::size_t expected,
+                           const std::string &component)
+{
+    const std::uint64_t n = get64();
+    if (n != expected)
+        throw SimError("snapshot array has " + std::to_string(n) +
+                           " elements where the configuration has " +
+                           std::to_string(expected),
+                       {component, "", std::to_string(n)});
+}
+
+void
+SnapshotReader::getVec64Into(std::vector<std::uint64_t> &v,
+                             const std::string &component)
+{
+    getCountOf(v.size(), component);
+    for (std::uint64_t &x : v)
+        x = get64();
+}
+
+void
+SnapshotReader::getVec8Into(std::vector<std::uint8_t> &v,
+                            const std::string &component,
+                            std::uint8_t maxValue)
+{
+    getCountOf(v.size(), component);
+    for (std::uint8_t &x : v)
+        if ((x = get8()) > maxValue)
+            throw SimError("snapshot byte " + std::to_string(x) +
+                               " is above its maximum " +
+                               std::to_string(maxValue),
+                           {component, "", std::to_string(x)});
+}
+
 std::string
 SnapshotReader::getString()
 {

@@ -106,6 +106,24 @@ class SnapshotReader
      */
     std::size_t getCount(std::size_t elementBytes);
 
+    /**
+     * Read a u64 element count that must equal `expected`, the length
+     * the configured geometry gives the array being restored.
+     * @throws SimError naming `component` when it differs
+     */
+    void getCountOf(std::size_t expected, const std::string &component);
+
+    /** Length-prefixed u64 vector into `v`, which keeps its length:
+     *  getCountOf(v.size()) then the elements. */
+    void getVec64Into(std::vector<std::uint64_t> &v,
+                      const std::string &component);
+
+    /** Length-prefixed byte vector into `v`, which keeps its length;
+     *  every byte must be at most `maxValue`. */
+    void getVec8Into(std::vector<std::uint8_t> &v,
+                     const std::string &component,
+                     std::uint8_t maxValue = 0xff);
+
     /** True when every byte has been consumed. */
     bool exhausted() const { return pos_ == buf_.size(); }
 

@@ -1,6 +1,9 @@
 #include "core.hh"
 
 #include <algorithm>
+#include <string>
+
+#include "common/error.hh"
 #include "common/invariant.hh"
 #include "common/stats.hh"
 
@@ -105,7 +108,8 @@ Core::dispatch(const TraceRecord &rec)
         stats_.totalLoadLatency += res.readyCycle - issue;
         complete = std::max(complete, res.readyCycle);
         loadRing_[loadRingHead_] = res.readyCycle;
-        loadRingHead_ = (loadRingHead_ + 1) % loadRing_.size();
+        if (++loadRingHead_ == loadRing_.size())
+            loadRingHead_ = 0;
     }
 
     // Stores drain through the store buffer after completion and do not
@@ -333,6 +337,9 @@ Core::loadState(SnapshotReader &r)
     recordsConsumed_ = r.get64();
     rob_.clear();
     const std::size_t rob_n = r.getCount(8);
+    if (rob_n > config_.robSize)
+        throw SimError("checkpoint ROB holds more than its size",
+                       {"core", "", std::to_string(rob_n)});
     for (std::size_t i = 0; i < rob_n; ++i)
         rob_.push_back(r.get64());
     for (Cycle &c : regReady_)
@@ -341,8 +348,12 @@ Core::loadState(SnapshotReader &r)
     lastRetireCycle_ = r.get64();
     retireAllowance_ = r.get64();
     lastFetchLine_ = r.get64();
-    loadRing_ = r.getVec64();
-    loadRingHead_ = static_cast<std::size_t>(r.get64());
+    r.getVec64Into(loadRing_, "core");
+    const std::uint64_t head = r.get64();
+    if (head >= loadRing_.size())
+        throw SimError("checkpoint load ring head is out of range",
+                       {"core", "", std::to_string(head)});
+    loadRingHead_ = static_cast<std::size_t>(head);
     stats_.instructions = r.get64();
     stats_.cycles = r.get64();
     stats_.branches = r.get64();

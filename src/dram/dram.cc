@@ -23,35 +23,80 @@ DramConfig::halvedResources() const
     return h;
 }
 
-SlotCalendar::SlotCalendar(Cycle granularity, std::size_t slots)
-    : gran_(granularity ? granularity : 1), booked_(slots, 0)
+SlotTable::SlotTable(Cycle granularity, std::size_t slots,
+                     unsigned resources)
+    : gran_(granularity ? granularity : 1), slots_(slots),
+      resources_(resources),
+      pow2_(isPowerOfTwo(gran_) && isPowerOfTwo(slots)),
+      epoch_(slots * resources, 0)
 {
-    if (slots == 0)
-        throw ConfigError("SlotCalendar needs at least one slot", {"dram", "", ""});
+    if (slots == 0 || resources == 0)
+        throw ConfigError("SlotTable needs at least one slot and one resource",
+                          {"dram", "", ""});
+    if (pow2_) {
+        granShift_ = floorLog2(gran_);
+        slotShift_ = floorLog2(slots);
+        slotMask_ = slots - 1;
+    }
 }
 
 Cycle
-SlotCalendar::book(Cycle t, unsigned count)
+SlotTable::book(unsigned resource, Cycle t, unsigned count)
 {
     if (count == 0)
         count = 1;
-    const std::size_t n = booked_.size();
-    std::uint64_t s = t / gran_;
-    for (;;) {
-        bool free = true;
-        for (unsigned k = 0; k < count; ++k) {
-            if (booked_[(s + k) % n] == s + k + 1) {
-                free = false;
-                s = s + k + 1;
-                break;
-            }
+    std::uint32_t *const ring = epoch_.data() + resource;
+    std::uint64_t s = slotAt(t);
+    for (unsigned k = 0; k < count;) {
+        // Widened, so a slot past the epoch range never matches.
+        if (std::uint64_t(ring[indexOf(s + k) * resources_]) ==
+            epochOf(s + k)) {
+            s = s + k + 1;
+            k = 0;
+        } else {
+            ++k;
         }
-        if (free) {
-            for (unsigned k = 0; k < count; ++k)
-                booked_[(s + k) % n] = s + k + 1;
-            // The first slot may start before t (slot-boundary
-            // rounding); service begins no earlier than requested.
-            return std::max<Cycle>(t, s * gran_);
+    }
+    if (epochOf(s + count - 1) > UINT32_MAX)
+        throw SimError("DRAM slot calendar ran past its last epoch",
+                       {"dram", "", std::to_string(t)});
+    for (unsigned k = 0; k < count; ++k)
+        ring[indexOf(s + k) * resources_] =
+            static_cast<std::uint32_t>(epochOf(s + k));
+    // The first slot may start before t (slot-boundary rounding);
+    // service begins no earlier than requested.
+    return std::max<Cycle>(t, pow2_ ? s << granShift_ : s * gran_);
+}
+
+void
+SlotTable::saveState(SnapshotWriter &w) const
+{
+    std::vector<std::uint64_t> ring(slots_);
+    for (unsigned r = 0; r < resources_; ++r) {
+        for (std::size_t i = 0; i < slots_; ++i) {
+            const std::uint64_t e = epoch_[i * resources_ + r];
+            ring[i] = e ? (e - 1) * slots_ + i + 1 : 0;
+        }
+        w.putVec64(ring);
+    }
+}
+
+void
+SlotTable::loadState(SnapshotReader &r)
+{
+    for (unsigned res = 0; res < resources_; ++res) {
+        r.getCountOf(slots_, "dram");
+        for (std::size_t i = 0; i < slots_; ++i) {
+            const std::uint64_t v = r.get64();
+            std::uint64_t e = 0;
+            if (v) {
+                if ((v - 1) % slots_ != i ||
+                    (e = (v - 1) / slots_ + 1) > UINT32_MAX)
+                    throw SimError("checkpoint slot calendar entry does "
+                                   "not belong to its index",
+                                   {"dram", "", std::to_string(v)});
+            }
+            epoch_[i * resources_ + res] = static_cast<std::uint32_t>(e);
         }
     }
 }
@@ -65,23 +110,35 @@ constexpr Cycle bankSlotGran = 4;
 /** Reservation window in cycles for both bank and bus calendars. */
 constexpr Cycle calendarWindow = 16384;
 
-} // namespace
-
-Dram::Dram(const DramConfig &config)
-    : config_(config),
-      banks_(std::size_t(config.channels) * config.banksPerChannel),
-      stats_(config.numCores)
+/** `config` after the checks every other member's set-up relies on. */
+const DramConfig &
+checkedGeometry(const DramConfig &config)
 {
     if (!isPowerOfTwo(config.channels) ||
         !isPowerOfTwo(config.banksPerChannel) ||
         !isPowerOfTwo(config.linesPerRow)) {
         throw ConfigError("DRAM geometry must be powers of two", {"dram", "", ""});
     }
-    for (std::size_t i = 0; i < banks_.size(); ++i)
-        bankCal_.emplace_back(bankSlotGran, calendarWindow / bankSlotGran);
-    for (unsigned ch = 0; ch < config.channels; ++ch)
-        busCal_.emplace_back(config.transfer,
-                             calendarWindow / config.transfer);
+    if (config.transfer == 0)
+        throw ConfigError("DRAM transfer time must be at least one cycle",
+                          {"dram", "", "0"});
+    return config;
+}
+
+} // namespace
+
+Dram::Dram(const DramConfig &config)
+    : config_(checkedGeometry(config)),
+      chanShift_(floorLog2(config.channels)),
+      rowShift_(floorLog2(config.linesPerRow)),
+      bankBits_(floorLog2(config.banksPerChannel)),
+      banks_(std::size_t(config.channels) * config.banksPerChannel),
+      bankCal_(bankSlotGran, calendarWindow / bankSlotGran,
+               config.channels * config.banksPerChannel),
+      busCal_(config.transfer, calendarWindow / config.transfer,
+              config.channels),
+      stats_(config.numCores)
+{
 }
 
 void
@@ -95,13 +152,11 @@ Dram::map(Addr line, unsigned &channel, unsigned &bank,
     // e.g. a stream and its own trailing writebacks — do not collide
     // on one bank.
     channel = static_cast<unsigned>(line & (config_.channels - 1));
-    const Addr in_chan = line >> floorLog2(config_.channels);
-    const Addr row_seq = in_chan / config_.linesPerRow;
-    const unsigned bank_bits = floorLog2(config_.banksPerChannel);
+    const Addr row_seq = line >> chanShift_ >> rowShift_;
     bank = static_cast<unsigned>(
-        (row_seq ^ (row_seq >> bank_bits) ^ (row_seq >> (2 * bank_bits)))
+        (row_seq ^ (row_seq >> bankBits_) ^ (row_seq >> (2 * bankBits_)))
         & (config_.banksPerChannel - 1));
-    row = row_seq >> bank_bits;
+    row = row_seq >> bankBits_;
 }
 
 void
@@ -162,9 +217,10 @@ Dram::access(const MemAccess &req)
     const Cycle desired = req.cycle + config_.frontend;
     const unsigned held_slots = static_cast<unsigned>(
         (bank_held + bankSlotGran - 1) / bankSlotGran);
-    const Cycle start = bankCal_[bank_at].book(desired, held_slots);
+    const Cycle start = bankCal_.book(static_cast<unsigned>(bank_at),
+                                      desired, held_slots);
     const Cycle data_at_bank = start + array_lat;
-    const Cycle bus_start = busCal_[channel].book(data_at_bank, 1);
+    const Cycle bus_start = busCal_.book(channel, data_at_bank, 1);
     const Cycle ready = bus_start + config_.transfer;
 
     bank.openRow = row;
@@ -189,10 +245,8 @@ Dram::saveState(SnapshotWriter &w) const
         w.put64(b.openRow);
         w.putBool(b.rowOpen);
     }
-    for (const SlotCalendar &c : bankCal_)
-        c.saveState(w);
-    for (const SlotCalendar &c : busCal_)
-        c.saveState(w);
+    bankCal_.saveState(w);
+    busCal_.saveState(w);
     for (const PerCoreDramStats &s : stats_) {
         w.put64(s.reads);
         w.put64(s.writes);
@@ -212,10 +266,8 @@ Dram::loadState(SnapshotReader &r)
         b.openRow = r.get64();
         b.rowOpen = r.getBool();
     }
-    for (SlotCalendar &c : bankCal_)
-        c.loadState(r);
-    for (SlotCalendar &c : busCal_)
-        c.loadState(r);
+    bankCal_.loadState(r);
+    busCal_.loadState(r);
     for (PerCoreDramStats &s : stats_) {
         s.reads = r.get64();
         s.writes = r.get64();

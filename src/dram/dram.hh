@@ -95,7 +95,8 @@ struct PerCoreDramStats
 };
 
 /**
- * Order-tolerant resource reservation calendar.
+ * Order-tolerant resource reservation calendar, one table for a whole
+ * kind of resource (every bank, or every channel bus).
  *
  * The hierarchy walk presents requests in program order, not time
  * order: dependency chains and multi-core quantum interleaving stamp
@@ -104,37 +105,69 @@ struct PerCoreDramStats
  * earlier one, compounding into phantom queueing. The calendar books
  * discrete service slots instead, so requests reserve capacity at
  * their own point in time regardless of arrival order.
+ *
+ * Each resource owns a ring of `slots` entries; absolute slot s lives
+ * at index s mod slots. The rings are interleaved in one block,
+ * `[s mod slots][resource]`, and an entry holds the u32 epoch
+ * s / slots + 1 of the last booking there (0 = never booked). An index
+ * only ever holds slots congruent to it, so the epoch names the booked
+ * slot exactly while it fits in 32 bits: for every slot below
+ * (2^32 - 1) * slots, about 7e13 cycles for a DRAM bank. A booking past
+ * that bound throws SimError instead of aliasing. With a power-of-two
+ * granularity and ring size (every shipped geometry) slot, index and
+ * epoch are shifts and masks.
  */
-class SlotCalendar
+class SlotTable
 {
   public:
     /**
      * @param granularity cycles per slot (the resource service quantum)
      * @param slots ring size; the usable window is granularity*slots
+     * @param resources independent rings kept in the table
      */
-    SlotCalendar(Cycle granularity, std::size_t slots);
+    SlotTable(Cycle granularity, std::size_t slots, unsigned resources);
 
     /**
-     * Reserve `count` consecutive slots at or after cycle `t`.
+     * Reserve `count` consecutive slots of `resource` at or after
+     * cycle `t`.
      * @return the cycle at which the reservation starts
+     * @throws SimError past the last slot the epochs can represent
      */
-    Cycle book(Cycle t, unsigned count);
+    Cycle book(unsigned resource, Cycle t, unsigned count);
 
-    Cycle granularity() const { return gran_; }
-
-    /** @name Checkpoint support (the booked-slot ring) */
+    /**
+     * @name Checkpoint support
+     * Each resource's ring in resource order, as a u64 vector of
+     * absolute slot + 1 per index (0 = free): the layout one ring per
+     * resource always had, so snapshots stay interchangeable. Loading
+     * checks the ring length and that every entry belongs to its index.
+     */
     /// @{
-    void saveState(SnapshotWriter &w) const { w.putVec64(booked_); }
-    void loadState(SnapshotReader &r) { booked_ = r.getVec64(); }
+    void saveState(SnapshotWriter &w) const;
+    void loadState(SnapshotReader &r);
     /// @}
 
   private:
+    std::uint64_t slotAt(Cycle t) const
+    { return pow2_ ? t >> granShift_ : t / gran_; }
+    std::size_t indexOf(std::uint64_t s) const
+    { return pow2_ ? std::size_t(s & slotMask_) : std::size_t(s % slots_); }
+    std::uint64_t epochOf(std::uint64_t s) const
+    { return (pow2_ ? s >> slotShift_ : s / slots_) + 1; }
+
     Cycle gran_;
-    /** Absolute slot id + 1 occupying each ring entry; 0 = free. */
-    std::vector<std::uint64_t> booked_;
+    std::size_t slots_;
+    unsigned resources_;
+    /** Granularity and ring size are both powers of two. */
+    bool pow2_;
+    unsigned granShift_ = 0;
+    unsigned slotShift_ = 0;
+    std::uint64_t slotMask_ = 0;
+    /** Epoch of the last booking, [index * resources_ + resource]. */
+    std::vector<std::uint32_t> epoch_;
 };
 
-/** Open-row DRAM with slot-calendar bank and channel-bus timing. */
+/** Open-row DRAM with slot-table bank and channel-bus timing. */
 class Dram : public MemoryLevel
 {
   public:
@@ -168,7 +201,7 @@ class Dram : public MemoryLevel
 
     /**
      * @name Checkpoint support
-     * Serializes bank open-row state, both slot calendars, and the
+     * Serializes bank open-row state, both slot tables, and the
      * per-core counters (geometry is rebuilt from configuration).
      */
     /// @{
@@ -188,9 +221,15 @@ class Dram : public MemoryLevel
              std::uint64_t &row) const;
 
     DramConfig config_;
-    std::vector<Bank> banks_;              //!< [channel * banks + bank]
-    std::vector<SlotCalendar> bankCal_;    //!< same indexing
-    std::vector<SlotCalendar> busCal_;     //!< per channel
+    /** @name map() geometry, from the power-of-two configuration */
+    /// @{
+    unsigned chanShift_;
+    unsigned rowShift_;
+    unsigned bankBits_;
+    /// @}
+    std::vector<Bank> banks_;  //!< [channel * banks + bank]
+    SlotTable bankCal_;        //!< one ring per bank, same indexing
+    SlotTable busCal_;         //!< one ring per channel
     std::vector<PerCoreDramStats> stats_;
 };
 

@@ -277,9 +277,10 @@ LhdPolicy::loadState(SnapshotReader &r)
 {
     now_ = r.get64();
     sinceReconfig_ = r.get64();
-    birth_ = r.getVec64();
-    cls_ = r.getVec8();
-    live_ = r.getVec8();
+    const std::string comp = "replacement:LHD";
+    r.getVec64Into(birth_, comp);
+    r.getVec8Into(cls_, comp, numClasses - 1);
+    r.getVec8Into(live_, comp);
     for (double &h : hitHist_)
         h = r.getDouble();
     for (double &h : evictHist_)

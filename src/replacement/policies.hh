@@ -202,8 +202,27 @@ class LruPolicy final : public ReplacementPolicy
     void
     loadState(SnapshotReader &r) override
     {
-        rank_ = r.getVec64();
-        fresh_ = r.getVec64();
+        const std::string comp = "replacement:LRU";
+        r.getVec64Into(rank_, comp);
+        r.getVec64Into(fresh_, comp);
+        // victim() needs every row to hold a permutation of the ranks,
+        // with the unused tail lanes clear.
+        for (unsigned s = 0; s < numSets_; ++s) {
+            const std::uint64_t *rr = row(s);
+            std::uint64_t seen = 0;
+            for (unsigned w = 0; w < assoc_; ++w) {
+                const unsigned b = getByte(rr, w);
+                if (b >= assoc_ || ((seen >> b) & 1))
+                    throw SimError("checkpoint LRU ranks are not a "
+                                   "permutation",
+                                   {comp, "", std::to_string(s)});
+                seen |= 1ull << b;
+            }
+            for (unsigned i = 0; i < words_; ++i)
+                if (rr[i] & ~laneMask_[i])
+                    throw SimError("checkpoint LRU rank in an unused lane",
+                                   {comp, "", std::to_string(s)});
+        }
     }
 
     /**
@@ -358,7 +377,9 @@ class PseudoLruPolicy final : public ReplacementPolicy
     void
     loadState(SnapshotReader &r) override
     {
-        bits_ = r.getVecBool();
+        r.getCountOf(bits_.size(), "replacement:pLRU");
+        for (std::size_t i = 0; i < bits_.size(); ++i)
+            bits_[i] = r.get8() != 0;
     }
 
   private:
@@ -530,12 +551,15 @@ class NmruPolicy final : public ReplacementPolicy
     loadState(SnapshotReader &r) override
     {
         loadRng(r, rng_);
-        mru_.resize(r.getCount(4));
-        for (unsigned &m : mru_)
-            m = r.get32();
-        cursor_.resize(r.getCount(4));
-        for (unsigned &c : cursor_)
-            c = r.get32();
+        // Both arrays hold a way per set.
+        for (std::vector<unsigned> *ways : {&mru_, &cursor_}) {
+            r.getCountOf(ways->size(), "replacement:nMRU");
+            for (unsigned &w : *ways)
+                if ((w = r.get32()) >= assoc_)
+                    throw SimError("checkpoint nMRU way out of range",
+                                   {"replacement:nMRU", "",
+                                    std::to_string(w)});
+        }
     }
 
   private:
@@ -617,7 +641,7 @@ class RripPolicy final : public ReplacementPolicy
     void
     loadState(SnapshotReader &r) override
     {
-        rrpv_ = r.getVec8();
+        r.getVec8Into(rrpv_, "replacement:RRIP", maxRrpv);
     }
 
   private:
@@ -744,7 +768,7 @@ class DrripPolicy final : public ReplacementPolicy
     {
         loadRng(r, rng_);
         psel_ = static_cast<int>(r.get32());
-        rrpv_ = r.getVec8();
+        r.getVec8Into(rrpv_, "replacement:DRRIP", maxRrpv);
     }
 
   private:

@@ -13,11 +13,15 @@
  * Each restore must succeed or throw a typed pinte::Error; anything
  * else escapes and aborts the harness. Readers bound every length
  * prefix by the bytes left, so no input drives an allocation larger
- * than itself.
+ * than itself. A restore that succeeds is then stepped a few hundred
+ * instructions (a bounded number of quanta), since a component that
+ * accepted a foreign geometry fails only when it next runs: that step
+ * too must finish or throw a typed Error.
  *
  * `fuzz_checkpoint --write-seeds DIR` writes the committed seeds: a
- * checkpoint of a tiny run, the same truncated, and the same with an
- * inflated element count, re-sealed.
+ * checkpoint of a tiny run, the same truncated, the same with an
+ * inflated element count, and the same with core 0's load ring and
+ * with the first DRAM bank's slot ring emptied, each re-sealed.
  *
  * Same build modes as fuzz_trace.cc: replay driver by default (the
  * fuzz_smoke ctest entry), libFuzzer driver under -DPINTE_FUZZ=ON.
@@ -39,6 +43,7 @@
 #include "common/snapshot.hh"
 #include "sim/machine.hh"
 #include "trace/generator.hh"
+#include "trace/record.hh"
 #include "trace/zoo.hh"
 
 namespace
@@ -153,6 +158,16 @@ restore(const std::string &bytes)
     try {
         rig.sys->restore(path);
     } catch (const Error &) {
+        return;
+    }
+    // Bounded by quanta, not instructions: a restored cycle count far
+    // in the future must not stall the harness.
+    constexpr InstCount steps = 300;
+    const InstCount target = rig.sys->core(0).retired() + steps;
+    try {
+        for (int q = 0; q < 64 && rig.sys->core(0).retired() < target; ++q)
+            rig.sys->runQuantum();
+    } catch (const Error &) {
     }
 }
 
@@ -171,7 +186,16 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
 namespace
 {
 
-/** Write the three committed seeds into `dir`. */
+/** `bytes` with the u64-counted u64 vector at `at` emptied, re-sealed. */
+std::string
+emptyVec64(const std::string &bytes, std::size_t at)
+{
+    std::string out = bytes.substr(0, at) + std::string(8, '\0');
+    out += bytes.substr(at + 8 + 8 * getLe64(bytes, at));
+    return reseal(out);
+}
+
+/** Write the five committed seeds into `dir`. */
 int
 writeSeeds(const std::string &dir)
 {
@@ -197,7 +221,27 @@ writeSeeds(const std::string &dir)
     putLe(inflated, tags + 8 + 8 * getLe64(bytes, tags), 1ull << 60, 8);
     std::ofstream(dir + "/checkpoint_inflated_count.snap", std::ios::binary)
         << reseal(inflated);
-    std::printf("fuzz_checkpoint: wrote 3 seeds (%zu-byte checkpoint) "
+
+    // Core 0's state opens with three u64 counters, the ROB (count +
+    // entries), the register scoreboard and four more u64 fields; its
+    // load ring follows.
+    const std::size_t core0 = lengthField(bytes) + 8 + 4;
+    const std::size_t ring = core0 + 24 + 8 + 8 * getLe64(bytes, core0 + 24) +
+                             8 * numArchRegs + 32;
+    std::ofstream(dir + "/checkpoint_empty_load_ring.snap", std::ios::binary)
+        << emptyVec64(bytes, ring);
+
+    // DRAM's state is its banks' open rows (u64 + bool each), then each
+    // bank's slot ring.
+    SnapshotWriter dram;
+    rig.sys->dram().saveState(dram);
+    const std::string dram_bytes(dram.bytes().begin(), dram.bytes().end());
+    const std::size_t banks =
+        std::size_t(rig.sys->dram().config().channels) *
+        rig.sys->dram().config().banksPerChannel;
+    std::ofstream(dir + "/checkpoint_empty_bank_ring.snap", std::ios::binary)
+        << emptyVec64(bytes, bytes.find(dram_bytes) + 9 * banks);
+    std::printf("fuzz_checkpoint: wrote 5 seeds (%zu-byte checkpoint) "
                 "to %s\n",
                 bytes.size(), dir.c_str());
     return 0;

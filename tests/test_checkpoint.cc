@@ -20,8 +20,11 @@
 #include <fstream>
 #include <memory>
 
+#include "cache/cache.hh"
 #include "common/crc32.hh"
 #include "common/snapshot.hh"
+#include "cpu/core.hh"
+#include "replacement/policy.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/options.hh"
@@ -668,4 +671,188 @@ TEST(SampledRun, DetailedRunCarriesNoSampledSection)
                             .run();
     EXPECT_FALSE(r.sampled.enabled());
     EXPECT_TRUE(r.sampled.stats.empty());
+}
+
+namespace
+{
+
+/** Memory stub that completes every access a fixed time later. */
+class FlatMemory : public MemoryLevel
+{
+  public:
+    AccessResult
+    access(const MemAccess &req) override
+    {
+        return {req.cycle + 40, false};
+    }
+    const char *levelName() const override { return "flat"; }
+};
+
+/** Core `config`'s state after a short run of 450.soplex. */
+std::vector<std::uint8_t>
+coreBytes(const CoreConfig &config)
+{
+    TraceGenerator gen(findWorkload("450.soplex"));
+    FlatMemory mem;
+    Core core(config, 0, &gen, &mem, &mem);
+    core.runInstructions(500);
+    SnapshotWriter w;
+    core.saveState(w);
+    return w.bytes();
+}
+
+std::uint64_t
+le64(const std::vector<std::uint8_t> &b, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= std::uint64_t(b[at + i]) << (8 * i);
+    return v;
+}
+
+void
+putLe64(std::vector<std::uint8_t> &b, std::size_t at, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Offset of a core's load ring (u64 count + entries) in its state:
+ *  three counters, the ROB, the scoreboard, four more fields. */
+std::size_t
+loadRingAt(const std::vector<std::uint8_t> &core)
+{
+    return 24 + 8 + 8 * le64(core, 24) + 8 * numArchRegs + 32;
+}
+
+} // namespace
+
+TEST(CheckpointGeometry, CoreRejectsLoadRingOfAnotherLength)
+{
+    CoreConfig wide;
+    wide.maxOutstandingLoads = 16;
+    const std::vector<std::uint8_t> bytes = coreBytes(wide);
+    ASSERT_EQ(le64(bytes, loadRingAt(bytes)), 16u);
+
+    CoreConfig narrow;
+    narrow.maxOutstandingLoads = 4;
+    TraceGenerator gen(findWorkload("450.soplex"));
+    FlatMemory mem;
+    Core core(narrow, 0, &gen, &mem, &mem);
+    SnapshotReader r(bytes);
+    EXPECT_ERROR(core.loadState(r), SimError, "elements");
+}
+
+TEST(CheckpointGeometry, CoreRejectsLoadRingHeadOutOfRange)
+{
+    CoreConfig config;
+    std::vector<std::uint8_t> bytes = coreBytes(config);
+    const std::size_t ring = loadRingAt(bytes);
+    const std::uint64_t n = le64(bytes, ring);
+    ASSERT_EQ(n, config.maxOutstandingLoads);
+    const std::size_t head = ring + 8 + 8 * n;
+
+    TraceGenerator gen(findWorkload("450.soplex"));
+    FlatMemory mem;
+    Core core(config, 0, &gen, &mem, &mem);
+    {
+        SnapshotReader r(bytes);
+        core.loadState(r); // the untouched state loads
+        EXPECT_TRUE(r.exhausted());
+    }
+    putLe64(bytes, head, n);
+    SnapshotReader r(bytes);
+    EXPECT_ERROR(core.loadState(r), SimError, "head");
+}
+
+TEST(CheckpointGeometry, CacheRejectsArraysOfAnotherGeometry)
+{
+    CacheConfig big;
+    big.name = "L2";
+    big.numSets = 64;
+    big.assoc = 4;
+    FlatMemory mem;
+    Cache from(big, &mem);
+    for (Addr a = 0; a < 64 * 64 * 8; a += 64) {
+        MemAccess req;
+        req.addr = a;
+        from.access(req);
+    }
+    SnapshotWriter w;
+    from.saveState(w);
+
+    CacheConfig small = big;
+    small.numSets = 32;
+    Cache to(small, &mem);
+    SnapshotReader r(w.bytes());
+    EXPECT_ERROR(to.loadState(r), SimError, "elements");
+
+    // Same geometry, but set 0's valid plane names way 5 of 4.
+    std::vector<std::uint8_t> bytes = w.bytes();
+    const std::size_t blocks = 64 * 4;
+    const std::size_t valid = 8 + 8 * blocks + 8 + 4 * blocks;
+    ASSERT_EQ(le64(bytes, valid), 64u);
+    putLe64(bytes, valid + 8, le64(bytes, valid + 8) | (1u << 5));
+    Cache same(big, &mem);
+    SnapshotReader bad(bytes);
+    EXPECT_ERROR(same.loadState(bad), SimError, "past the last");
+}
+
+TEST(CheckpointGeometry, PoliciesRejectStateOfAnotherGeometry)
+{
+    for (unsigned k = 0; k < numReplacementKinds; ++k) {
+        const auto kind = static_cast<ReplacementKind>(k);
+        SCOPED_TRACE(toString(kind));
+        const auto from = makeReplacementPolicy(kind, 64, 4);
+        for (unsigned s = 0; s < 64; ++s)
+            from->onFill(s, s % 4);
+        SnapshotWriter w;
+        from->saveState(w);
+
+        // Random keeps only its RNG, so any geometry takes its state.
+        const auto to = makeReplacementPolicy(kind, 32, 4);
+        SnapshotReader r(w.bytes());
+        if (kind == ReplacementKind::Random)
+            to->loadState(r);
+        else
+            EXPECT_ERROR(to->loadState(r), SimError, "elements");
+
+        const auto same = makeReplacementPolicy(kind, 64, 4);
+        SnapshotReader ok(w.bytes());
+        same->loadState(ok);
+        EXPECT_TRUE(ok.exhausted());
+    }
+}
+
+TEST(CheckpointGeometry, PoliciesRejectValuesOutOfRange)
+{
+    // LRU: set 0's rank row (one word at 4 ways) holds rank 0 twice.
+    {
+        const auto p = makeReplacementPolicy(ReplacementKind::Lru, 2, 4);
+        SnapshotWriter w;
+        w.putVec64({0x00000100, 0x03020100});
+        w.putVec64({0, 0});
+        SnapshotReader r(w.bytes());
+        EXPECT_ERROR(p->loadState(r), SimError, "permutation");
+    }
+    // nMRU: an MRU way of 4 in a 4-way set.
+    {
+        const auto p = makeReplacementPolicy(ReplacementKind::Nmru, 1, 4);
+        SnapshotWriter w;
+        saveRng(w, Rng(1));
+        w.put64(1);
+        w.put32(4);
+        w.put64(1);
+        w.put32(0);
+        SnapshotReader r(w.bytes());
+        EXPECT_ERROR(p->loadState(r), SimError, "out of range");
+    }
+    // SRRIP: an RRPV above its 2-bit maximum.
+    {
+        const auto p = makeReplacementPolicy(ReplacementKind::Rrip, 1, 4);
+        SnapshotWriter w;
+        w.putVec8({3, 3, 7, 3});
+        SnapshotReader r(w.bytes());
+        EXPECT_ERROR(p->loadState(r), SimError, "maximum");
+    }
 }

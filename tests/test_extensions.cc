@@ -274,57 +274,68 @@ TEST(PInteScope, NamesDistinct)
 
 TEST(SlotCalendar, FirstBookingStartsAtRequest)
 {
-    SlotCalendar cal(4, 64);
-    EXPECT_EQ(cal.book(16, 1), 16u);
+    SlotTable cal(4, 64, 1);
+    EXPECT_EQ(cal.book(0, 16, 1), 16u);
 }
 
 TEST(SlotCalendar, MidSlotRequestStartsAtRequestTime)
 {
     // The booking occupies slot [16, 20) but service never starts
     // before the requested cycle.
-    SlotCalendar cal(4, 64);
-    EXPECT_EQ(cal.book(18, 1), 18u);
+    SlotTable cal(4, 64, 1);
+    EXPECT_EQ(cal.book(0, 18, 1), 18u);
     // The slot is consumed: the next request moves on.
-    EXPECT_EQ(cal.book(16, 1), 20u);
+    EXPECT_EQ(cal.book(0, 16, 1), 20u);
 }
 
 TEST(SlotCalendar, SecondBookingSameSlotMovesOn)
 {
-    SlotCalendar cal(4, 64);
-    cal.book(16, 1);
-    EXPECT_EQ(cal.book(16, 1), 20u);
+    SlotTable cal(4, 64, 1);
+    cal.book(0, 16, 1);
+    EXPECT_EQ(cal.book(0, 16, 1), 20u);
 }
 
 TEST(SlotCalendar, EarlierRequestUnaffectedByFutureBooking)
 {
     // The property busy-until scalars lack: booking far in the future
     // must not delay an earlier request.
-    SlotCalendar cal(4, 1024);
-    cal.book(4000, 1);
-    EXPECT_EQ(cal.book(16, 1), 16u);
+    SlotTable cal(4, 1024, 1);
+    cal.book(0, 4000, 1);
+    EXPECT_EQ(cal.book(0, 16, 1), 16u);
 }
 
 TEST(SlotCalendar, MultiSlotBookingIsContiguous)
 {
-    SlotCalendar cal(4, 64);
-    EXPECT_EQ(cal.book(0, 3), 0u);  // occupies slots 0-2
-    EXPECT_EQ(cal.book(0, 1), 12u); // next free slot is 3
+    SlotTable cal(4, 64, 1);
+    EXPECT_EQ(cal.book(0, 0, 3), 0u);  // occupies slots 0-2
+    EXPECT_EQ(cal.book(0, 0, 1), 12u); // next free slot is 3
 }
 
 TEST(SlotCalendar, MultiSlotSkipsPartialGaps)
 {
-    SlotCalendar cal(4, 64);
-    cal.book(8, 1); // slot 2 busy
+    SlotTable cal(4, 64, 1);
+    cal.book(0, 8, 1); // slot 2 busy
     // A 3-slot booking at t=0 does not fit in slots 0-1; it must land
     // after slot 2.
-    EXPECT_EQ(cal.book(0, 3), 12u);
+    EXPECT_EQ(cal.book(0, 0, 3), 12u);
 }
 
 TEST(SlotCalendar, SaturationSerializes)
 {
-    SlotCalendar cal(2, 256);
+    SlotTable cal(2, 256, 1);
     Cycle last = 0;
     for (int i = 0; i < 50; ++i)
-        last = cal.book(0, 1);
+        last = cal.book(0, 0, 1);
     EXPECT_EQ(last, 49u * 2);
+}
+
+TEST(SlotCalendar, ResourcesBookIndependently)
+{
+    // One table holds every bank's ring; a booking on one resource
+    // never occupies another's slot.
+    SlotTable cal(4, 64, 3);
+    EXPECT_EQ(cal.book(1, 16, 1), 16u);
+    EXPECT_EQ(cal.book(0, 16, 1), 16u);
+    EXPECT_EQ(cal.book(2, 16, 1), 16u);
+    EXPECT_EQ(cal.book(1, 16, 1), 20u);
 }

@@ -6,7 +6,9 @@
 # an L2-scope engine above an inclusive LLC (the walk that runs one
 # block at a time), pair co-runs, an isolation run, a sweep, a sampled
 # sweep (whose fast-forward skips detach cells from the campaign's
-# shared trace), and a full --report machine dump with paranoid audits — and asserts
+# shared trace), a full --report machine dump with paranoid audits, and
+# a --report dump of a pair whose two cores share DRAM banks and buses
+# (per-core DRAM counters under contention) — and asserts
 # each JSON report is identical (modulo cpu_seconds, see
 # check_bitwise.py) to the golden captured in tests/golden/bitwise/
 # with the pre-refactor engine.
@@ -37,6 +39,7 @@ set(matrix
     "lhd_pinte|-w|450.soplex|-p|0.3|--policy|lhd|--seed|8"
     "lru_l2scope_incl|-w|470.lbm|-p|0.7|--scope|l2|--inclusion|inclusive|--seed|2"
     "gcc_sampled_sweep|-w|403.gcc|--sweep|--sample-mode|periodic|--sample-interval-length|2000|--sample-detailed-fraction|0.25|--jobs|2"
+    "dram_pair_report|-w|470.lbm|--pair|429.mcf|--report|--seed|9"
 )
 
 foreach(entry IN LISTS matrix)
