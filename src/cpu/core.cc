@@ -15,6 +15,7 @@ Core::Core(const CoreConfig &config, CoreId id, TraceSource *source,
     : config_(config), id_(id), source_(source), l1i_(l1i), l1d_(l1d),
       predictor_(makeBranchPredictor(config.predictor,
                                      config.predictorSizeLog2)),
+      rob_(config.robSize),
       loadRing_(std::max(1u, config.maxOutstandingLoads), 0)
 {
 }
@@ -193,9 +194,7 @@ Core::runInstructions(InstCount n)
     while (retiredTotal_ < target) {
         // Modest quanta keep multi-core interleaving fair while letting
         // the fast-forward logic skip dead cycles inside the quantum.
-        const Cycle before = cycle_;
         runCycles(512);
-        (void)before;
     }
 }
 
@@ -307,8 +306,8 @@ Core::saveState(SnapshotWriter &w) const
     w.put64(retiredTotal_);
     w.put64(recordsConsumed_);
     w.put64(rob_.size());
-    for (const Cycle c : rob_)
-        w.put64(c);
+    for (std::size_t k = 0; k < rob_.size(); ++k)
+        w.put64(rob_[k]);
     for (const Cycle c : regReady_)
         w.put64(c);
     w.put64(fetchStallUntil_);

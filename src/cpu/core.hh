@@ -13,8 +13,9 @@
 #ifndef PINTE_CPU_CORE_HH
 #define PINTE_CPU_CORE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <vector>
 #include <memory>
 
@@ -29,6 +30,52 @@ namespace pinte
 {
 
 class StatRegistry;
+
+/**
+ * The ROB's completion cycles, oldest first, in a power-of-two ring of
+ * at least its capacity: size() is a field and an index is a mask.
+ * The caller never pushes past the capacity.
+ */
+class RobRing
+{
+  public:
+    explicit RobRing(std::size_t capacity)
+        : slots_(std::bit_ceil(std::max<std::size_t>(1, capacity))),
+          mask_(slots_.size() - 1)
+    {
+    }
+
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+
+    /** Entry `k`, oldest first. */
+    Cycle operator[](std::size_t k) const
+    { return slots_[(head_ + k) & mask_]; }
+
+    Cycle front() const { return slots_[head_]; }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & mask_;
+        --count_;
+    }
+
+    void
+    push_back(Cycle c)
+    {
+        slots_[(head_ + count_) & mask_] = c;
+        ++count_;
+    }
+
+    void clear() { head_ = count_ = 0; }
+
+  private:
+    std::vector<Cycle> slots_;
+    std::size_t mask_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+};
 
 /** Static core parameters (Skylake-flavored defaults). */
 struct CoreConfig
@@ -217,7 +264,7 @@ class Core
     InstCount recordsConsumed_ = 0;
 
     /** In-flight instruction: only its completion time matters. */
-    std::deque<Cycle> rob_;
+    RobRing rob_;
 
     /** Ready cycle of each architectural register. */
     Cycle regReady_[numArchRegs] = {};

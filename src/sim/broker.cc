@@ -24,6 +24,7 @@
 #include "sim/sink.hh"
 #include "sim/spool_wait.hh"
 #include "sim/watchdog.hh"
+#include "trace/trace_pump.hh"
 
 namespace pinte
 {
@@ -519,6 +520,7 @@ runSpoolBroker(const std::string &campaignJson,
                                 return !claimedPids.count(c.pid);
                             }))
                 break;
+            TracePump::requireNoProducers("broker");
             int wake[2];
             if (!openChannel(wake))
                 break;

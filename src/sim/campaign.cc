@@ -113,6 +113,13 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             traces[pending[j]] = std::move(shared[j]);
     }
 
+    // Each simulating worker may pump its cells' streams on its share
+    // of the CPUs the campaign's workers leave idle. A pump lives
+    // inside one cell's run: in the process and spool backends, in
+    // the forked child that runs it, never in the parent that forks.
+    const unsigned producers = TracePump::budget(
+        backend == IsolationMode::Spool ? broker.workers : proc.workers);
+
     switch (backend) {
       case IsolationMode::Thread: {
         // Progress counts journal hits as resolved cells.
@@ -127,7 +134,7 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
                 const std::size_t i = pending[j];
                 const TraceStores mine = std::move(traces[i]);
                 for (RunOutcome &o :
-                     cells[i].tryRunAll(mine, LiveTraces::Inline))
+                     cells[i].tryRunAll(mine, producers))
                     results[i].push_back(std::move(o.result));
                 for (std::size_t c = 0; c < results[i].size(); ++c)
                     arrived(i, results[i][c], c);
@@ -142,7 +149,7 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             [&](std::size_t j) {
                 const TraceStores mine = std::move(traces[pending[j]]);
                 return cells[pending[j]]
-                    .tryRun(mine, LiveTraces::Inline)
+                    .tryRun(mine, producers)
                     .result;
             },
             proc,
@@ -167,7 +174,7 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
             [&](std::size_t i) {
                 const TraceStores mine = std::move(traces[i]);
                 JobWatchdog::Scope watchdog(proc.jobTimeout);
-                return cells[i].tryRun(mine, LiveTraces::Inline).result;
+                return cells[i].tryRun(mine, producers).result;
             },
             [&](std::size_t i, const RunResult &r) { arrived(i, r, 0); },
             [&](std::size_t i) {

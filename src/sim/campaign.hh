@@ -54,8 +54,12 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
  *    cell's key. The broker's forked workers run tryRun() on the
  *    cells in memory, `proc.jobTimeout` armed as the cooperative
  *    watchdog. All cells must share one machine fingerprint.
- * Every backend generates a cell's live traces inline
- * (LiveTraces::Inline): its workers already fill their CPUs.
+ * On every backend a cell's streams, replayed or live, are pumped
+ * (trace/trace_pump.hh) on TracePump::budget(J) producer threads,
+ * where J is `broker.workers` on the spool backend and
+ * `proc.workers` otherwise: the CPUs the J workers leave idle, shared
+ * among them. A pump lives inside one cell's run, so on the process
+ * and spool backends it starts in the forked child, after the fork.
  * The process and spool backends ship core 0 only, so they refuse a
  * multi-core cell with a ConfigError. Every core of a success is
  * journaled under cellKey(cell, core). A core a backend quarantines

@@ -14,7 +14,6 @@
 #include <memory>
 
 #include "sim/watchdog.hh"
-#include "trace/trace_pump.hh"
 
 namespace pinte
 {
@@ -518,7 +517,8 @@ ExperimentSpec::run() const
 
 std::vector<RunResult>
 ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
-                       const TraceStores &traces, LiveTraces live) const
+                       const TraceStores &traces,
+                       unsigned producers) const
 {
     if (workloads_.empty())
         throw ConfigError("ExperimentSpec: at least one workload required",
@@ -571,6 +571,7 @@ ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
     std::vector<TraceSource *> sources;
     for (std::size_t i = 0; i < workloads_.size(); ++i) {
         WorkloadSpec s = coreWorkload(i);
+        std::unique_ptr<TraceSource> src;
         if (i < traces.size() && traces[i]) {
             if (!(traces[i]->spec() == s))
                 throw ConfigError("trace store realizes '" +
@@ -578,14 +579,14 @@ ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
                                       "', not core " + std::to_string(i) +
                                       "'s workload",
                                   {"experiment", "", s.name});
-            gens.push_back(std::make_unique<TraceReplay>(traces[i]));
+            src = std::make_unique<TraceReplay>(traces[i]);
         } else {
-            auto gen = std::make_unique<TraceGenerator>(s);
-            gens.push_back(live == LiveTraces::Pumped
-                               ? TracePump::wrapIfSpareCpu(std::move(gen))
-                               : std::move(gen));
+            src = std::make_unique<TraceGenerator>(s);
         }
-        sources.push_back(gens.back().get());
+        if (i < producers)
+            src = std::make_unique<TracePump>(std::move(src));
+        sources.push_back(src.get());
+        gens.push_back(std::move(src));
     }
     System sys(machine, sources);
 
@@ -848,7 +849,7 @@ ExperimentSpec::runAll(const std::function<void(System &)> &onFinish,
     }
 
     double cpu = threadCpuSeconds() - t0;
-    // A pumped trace is generated on its producer thread, which
+    // A pumped trace is produced on its producer thread, which
     // started after t0: that CPU time is this run's too.
     for (const auto &g : gens)
         if (auto *pump = dynamic_cast<TracePump *>(g.get()))
@@ -872,15 +873,15 @@ ExperimentSpec::coreWorkload(std::size_t core) const
 }
 
 RunOutcome
-ExperimentSpec::tryRun(const TraceStores &traces, LiveTraces live) const
+ExperimentSpec::tryRun(const TraceStores &traces, unsigned producers) const
 {
-    auto all = tryRunAll(traces, live);
+    auto all = tryRunAll(traces, producers);
     return {std::move(all.front().result)};
 }
 
 std::vector<RunOutcome>
 ExperimentSpec::tryRunAll(const TraceStores &traces,
-                          LiveTraces live) const
+                          unsigned producers) const
 {
     // Labels for the placeholder cells a faulted job leaves behind;
     // computed up-front because the fault may hit before runAll()
@@ -900,7 +901,7 @@ ExperimentSpec::tryRunAll(const TraceStores &traces,
     };
 
     try {
-        auto results = runAll({}, traces, live);
+        auto results = runAll({}, traces, producers);
         std::vector<RunOutcome> out(results.size());
         for (std::size_t i = 0; i < results.size(); ++i)
             out[i].result = std::move(results[i]);

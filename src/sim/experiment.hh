@@ -23,6 +23,7 @@
 #include "common/stats.hh"
 #include "core/pinte.hh"
 #include "sim/machine.hh"
+#include "trace/trace_pump.hh"
 #include "trace/trace_store.hh"
 #include "trace/workload.hh"
 #include "trace/zoo.hh"
@@ -361,21 +362,6 @@ struct ExperimentParams
 };
 
 /**
- * Where ExperimentSpec::runAll() generates the live trace of a core
- * that replays no TraceStore. The stream is the same either way.
- */
-enum class LiveTraces
-{
-    /** On a TracePump producer thread (trace/trace_pump.hh) while the
-     *  process's affinity set has a CPU to spare for it: a single run
-     *  leaves the other CPUs idle. */
-    Pumped,
-    /** On the simulating thread: campaign cells already fill their
-     *  CPUs, and no pump thread may live across a backend's fork. */
-    Inline,
-};
-
-/**
  * Builder describing one experiment: a machine, one or more
  * workloads, and the contention source (none, a PInTE engine, a
  * 2nd-Trace peer, or an N-way mix).
@@ -455,30 +441,33 @@ class ExperimentSpec
      * before the results are read out; pintesim --report dumps the
      * whole machine from there. Core i replays `traces[i]` when that
      * entry exists and is set, and runs a live generator otherwise;
-     * the store must realize coreWorkload(i). `live` says where a
-     * live generator runs. The stream is the same either way. None of
-     * the arguments is part of the spec: cell keys and journals never
-     * see them.
+     * the store must realize coreWorkload(i). The first `producers`
+     * cores' streams, replayed or live, are produced on TracePump
+     * threads (trace/trace_pump.hh), the rest on the calling thread.
+     * The default is a single run's share of the CPUs; a campaign
+     * passes its workers' share. The stream is the same either way.
+     * None of the arguments is part of the spec: cell keys and
+     * journals never see them.
      */
     std::vector<RunResult>
     runAll(const std::function<void(System &)> &onFinish = {},
            const TraceStores &traces = {},
-           LiveTraces live = LiveTraces::Pumped) const;
+           unsigned producers = TracePump::budget(1)) const;
 
     /**
      * Fault-isolated run(): any Error (or std::exception) raised by
      * the job is captured into the outcome's RunError instead of
      * propagating, with workload/contention labels filled in so the
-     * failed cell stays addressable in reports. `traces` and `live`
-     * as for runAll().
+     * failed cell stays addressable in reports. `traces` and
+     * `producers` as for runAll().
      */
     RunOutcome tryRun(const TraceStores &traces = {},
-                      LiveTraces live = LiveTraces::Pumped) const;
+                      unsigned producers = TracePump::budget(1)) const;
 
     /** Fault-isolated runAll(): one outcome per core. */
     std::vector<RunOutcome>
     tryRunAll(const TraceStores &traces = {},
-              LiveTraces live = LiveTraces::Pumped) const;
+              unsigned producers = TracePump::budget(1)) const;
 
     /**
      * The spec core `core`'s trace is generated from: workload

@@ -25,6 +25,7 @@
 #include "sim/sink.hh"
 #include "sim/watchdog.hh"
 #include "sim/wire.hh"
+#include "trace/trace_pump.hh"
 
 namespace pinte
 {
@@ -206,10 +207,12 @@ closeSlotPipes(Slot &s)
     s.toChild = s.fromChild = -1;
 }
 
-/** Fork a worker into `s`. Throws SimError on pipe/fork failure. */
+/** Fork a worker into `s`. Throws SimError on pipe/fork failure and
+ *  while a trace pump's producer thread is alive. */
 void
 spawnWorker(Slot &s, const ProcJobFn &fn, double job_timeout)
 {
+    TracePump::requireNoProducers("worker_proc");
     int job_pipe[2];    // parent -> child
     int result_pipe[2]; // child -> parent
     if (::pipe(job_pipe) < 0)

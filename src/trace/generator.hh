@@ -64,6 +64,21 @@ class TraceSource
     virtual void saveState(SnapshotWriter &w) const;
     virtual void loadState(SnapshotReader &r);
     /// @}
+
+    /**
+     * @name Rewind tokens
+     * A token marks a stream position for this very source, in this
+     * process, to return to: mark() writes the current position to
+     * `w`, rewind() goes back to a position mark() wrote, after any
+     * number of next() calls. A TracePump takes one per block, so
+     * they must be cheap. The defaults are saveState() and
+     * loadState(); a source whose checkpoint is costly overrides
+     * them. A token is not a checkpoint: no file ever holds one.
+     */
+    /// @{
+    virtual void mark(SnapshotWriter &w) const { saveState(w); }
+    virtual void rewind(SnapshotReader &r) { loadState(r); }
+    /// @}
 };
 
 /**

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <ctime>
+#include <string>
 #include <system_error>
+
+#include "common/error.hh"
 
 namespace pinte
 {
@@ -13,8 +16,8 @@ namespace pinte
 namespace
 {
 
-/** Producer threads that hold a CPU of the affinity set. */
-std::atomic<unsigned> cpusHeld{0};
+/** Producer threads alive: started and not yet joined. */
+std::atomic<unsigned> liveProducers{0};
 
 /** CPUs the calling thread may run on (1 if unknown). */
 unsigned
@@ -39,25 +42,30 @@ TracePump::~TracePump()
     if (producer_.joinable()) {
         command(cmdExit);
         producer_.join();
+        liveProducers.fetch_sub(1);
     }
-    if (holdsCpu_)
-        cpusHeld.fetch_sub(1);
 }
 
-std::unique_ptr<TraceSource>
-TracePump::wrapIfSpareCpu(std::unique_ptr<TraceSource> source)
+unsigned
+TracePump::budget(unsigned workers)
 {
-    const unsigned spare = affinityCpus() - 1;
-    if (spare == 0)
-        return source;
-    auto pump = std::make_unique<TracePump>(std::move(source));
-    unsigned held = cpusHeld.load();
-    do {
-        if (held >= spare)
-            return std::move(pump->inner_);
-    } while (!cpusHeld.compare_exchange_weak(held, held + 1));
-    pump->holdsCpu_ = true;
-    return pump;
+    const unsigned cpus = affinityCpus();
+    return workers == 0 || workers >= cpus ? 0 : (cpus - workers) / workers;
+}
+
+unsigned
+TracePump::producers()
+{
+    return liveProducers.load();
+}
+
+void
+TracePump::requireNoProducers(const char *component)
+{
+    if (const unsigned n = producers())
+        throw SimError("fork refused: " + std::to_string(n) +
+                           " trace pump producer thread(s) alive",
+                       {component, "", std::to_string(n)});
 }
 
 TraceRecord
@@ -84,7 +92,7 @@ TracePump::resume()
     if (!ring_) {
         ring_ = std::make_unique<Block[]>(ringBlocks);
         SnapshotWriter probe;
-        inner_->saveState(probe);
+        inner_->mark(probe);
         for (std::uint32_t b = 0; b < ringBlocks; ++b)
             ring_[b].start.reserve(probe.bytes().size());
     }
@@ -93,10 +101,14 @@ TracePump::resume()
     if (producer_.joinable()) {
         command(cmdRun);
     } else {
+        // Counted before it exists, so that no fork can slip in
+        // between its start and the count.
+        liveProducers.fetch_add(1);
         try {
             producer_ = std::thread(&TracePump::produce, this);
         } catch (const std::system_error &) {
             // No thread to be had: the stream is the same inline.
+            liveProducers.fetch_sub(1);
             noThread_ = true;
             return;
         }
@@ -143,7 +155,7 @@ TracePump::sync() const
         return;
     park();
     SnapshotReader r(cur_->start.bytes());
-    inner_->loadState(r);
+    inner_->rewind(r);
     for (std::uint32_t k = 0; k < pos_; ++k)
         inner_->next();
     cur_ = nullptr;
@@ -215,7 +227,7 @@ TracePump::fill(Block &b) noexcept
     std::uint32_t k = 0;
     try {
         b.start.clear();
-        inner.saveState(b.start);
+        inner.mark(b.start);
         for (; k < blockRecords; ++k)
             b.records[k] = inner.next();
     } catch (...) {

@@ -2,33 +2,36 @@
  * @file
  * A trace source whose records are generated on a producer thread.
  *
- * A TraceGenerator's stream depends on its spec alone, never on what
- * the simulation does with it, so it can be produced on another CPU
- * while the core consumes it. A TracePump runs an inner source on one
+ * A trace's stream depends on its spec alone, never on what the
+ * simulation does with it, so it can be produced on another CPU while
+ * the core consumes it: a live TraceGenerator, or a TraceReplay that
+ * decodes a shared TraceStore. A TracePump runs an inner source on one
  * producer thread, at most ringBlocks blocks of blockRecords records
  * ahead of the consumer, and yields exactly the records the inner
  * source would have yielded on the calling thread.
  *
  * Threads. The producer starts at the first next(), never at
  * construction. It parks on std::atomic::wait when the ring is full
- * or when the consumer asks it to, allocates nothing while running,
- * and is joined by the destructor on every exit path. An exception it
- * catches from the inner source is rethrown by next() at the record
- * where it occurred.
+ * or when the consumer asks it to, allocates nothing of its own while
+ * running (a block's token buffer grows only if the inner source's
+ * tokens do, as a detaching TraceReplay's once), and is joined by the
+ * destructor on every exit path. An exception it catches from the
+ * inner source is rethrown by next() at the record where it occurred.
  *
  * Rewind rule. skip(), saveState(), loadState() and reset() act on
  * the consumer's position, which the inner source has run ahead of.
  * Each one parks the producer, restores the inner source to the
- * consumer's position (the state saved at the start of the
- * consumer's block, then the records of that block already consumed,
- * regenerated), and applies the operation to it; the producer resumes
- * at the next next(). Records and checkpoint bytes therefore come out
- * as the inner source's own. A source whose skip() is not n next()
- * calls (TraceGenerator::skip only moves the phase clock) needs this:
- * dropping the records produced ahead would change the stream.
+ * consumer's position (the rewind token the producer marked at the
+ * start of the consumer's block, then the records of that block
+ * already consumed, produced again), and applies the operation to
+ * it; the producer resumes at the next next(). Records and checkpoint
+ * bytes therefore come out as the inner source's own. A source whose
+ * skip() is not n next() calls (TraceGenerator::skip only moves the
+ * phase clock) needs this: dropping the records produced ahead would
+ * change the stream.
  *
- * The inner source must be unbounded and support saveState() and
- * loadState().
+ * The inner source must be unbounded and support mark() and rewind()
+ * (by default saveState() and loadState()).
  */
 
 #ifndef PINTE_TRACE_TRACE_PUMP_HH
@@ -77,13 +80,23 @@ class TracePump final : public TraceSource
     TracePump &operator=(const TracePump &) = delete;
 
     /**
-     * `source` behind a TracePump when the process's affinity set has
-     * a CPU to spare for one more producer (one CPU stays with the
-     * calling thread), else `source` itself. The pump holds its CPU
-     * until it is destroyed.
+     * Producer threads each of `workers` simulating threads may start,
+     * so that all of them together fit the process's affinity set of
+     * C CPUs: (C - workers) / workers, rounded down, and 0 when
+     * `workers` is 0 or at least C. A single run (1) may start C - 1.
      */
-    static std::unique_ptr<TraceSource>
-    wrapIfSpareCpu(std::unique_ptr<TraceSource> source);
+    static unsigned budget(unsigned workers);
+
+    /** Producer threads alive in this process. */
+    static unsigned producers();
+
+    /**
+     * Throw SimError, labelled `component`, unless producers() is 0.
+     * A forked child would inherit a pump's ring and its inner
+     * source's locks but not the thread that moves them, so every
+     * fork site of a campaign backend calls this first.
+     */
+    static void requireNoProducers(const char *component);
 
     TraceRecord
     next() override
@@ -106,7 +119,7 @@ class TracePump final : public TraceSource
     struct Block
     {
         TraceRecord records[blockRecords];
-        SnapshotWriter start;      //!< inner state before records[0]
+        SnapshotWriter start;      //!< inner's token before records[0]
         std::uint32_t count = 0;   //!< records filled
         std::exception_ptr error;  //!< what stopped it short, if any
     };
@@ -149,7 +162,6 @@ class TracePump final : public TraceSource
 
     std::unique_ptr<TraceSource> inner_;
     std::unique_ptr<Block[]> ring_; //!< allocated at the first start
-    bool holdsCpu_ = false;   //!< counted by wrapIfSpareCpu()
     bool noThread_ = false;   //!< no thread could start: run inline
 
     // Consumer side, on a cache line the producer never reads.

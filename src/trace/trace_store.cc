@@ -309,6 +309,7 @@ std::unique_ptr<TraceGenerator>
 TraceStore::liveAt(std::uint64_t pos)
 {
     const std::uint64_t c = pos / chunkRecords;
+    liveBuilds_.fetch_add(1, std::memory_order_relaxed);
     std::unique_ptr<TraceGenerator> g;
     {
         std::lock_guard<std::mutex> extend(extendMu_);
@@ -349,7 +350,7 @@ TraceReplay::nextFromNewChunk()
 {
     if (!live_) {
         if (const TraceStore::Chunk *c = store_->chunk(nextChunk_)) {
-            p_ = c->records.data();
+            base_ = p_ = c->records.data();
             left_ = TraceStore::chunkRecords - 1;
             ++nextChunk_;
             codec_ = {};
@@ -364,7 +365,7 @@ void
 TraceReplay::reset()
 {
     live_.reset();
-    p_ = nullptr;
+    base_ = p_ = nullptr;
     left_ = 0;
     nextChunk_ = 0;
 }
@@ -398,6 +399,45 @@ TraceReplay::loadState(SnapshotReader &r)
     g->loadState(r);
     live_ = std::move(g);
     left_ = 0;
+}
+
+void
+TraceReplay::mark(SnapshotWriter &w) const
+{
+    w.putBool(live_ != nullptr);
+    if (live_) {
+        live_->saveState(w);
+        return;
+    }
+    w.put64(nextChunk_);
+    w.put64(static_cast<std::uint64_t>(p_ - base_));
+    w.put64(left_);
+    w.put64(codec_.nextIp);
+    w.put64(codec_.lastAddr);
+}
+
+void
+TraceReplay::rewind(SnapshotReader &r)
+{
+    if (r.getBool()) {
+        // Detaching is for good along the stream, so a detached token
+        // finds the cursor detached: only reset() re-attaches it.
+        if (!live_)
+            live_ = store_->liveAt(0);
+        live_->loadState(r);
+        left_ = 0;
+        return;
+    }
+    live_.reset();
+    nextChunk_ = r.get64();
+    const std::uint64_t offset = r.get64();
+    left_ = static_cast<std::size_t>(r.get64());
+    codec_.nextIp = r.get64();
+    codec_.lastAddr = r.get64();
+    // The chunk is stored: this cursor has read from it.
+    base_ = nextChunk_ ? store_->chunk(nextChunk_ - 1)->records.data()
+                       : nullptr;
+    p_ = base_ + offset;
 }
 
 } // namespace pinte

@@ -19,6 +19,8 @@
  * rebuilds a live generator from there (at most chunkRecords - 1
  * next() calls) to save its state. skip(), loadState() and reaching a
  * full store detach the cursor into such a live generator for good.
+ * A cursor's rewind token (TraceSource::mark) is its place in the
+ * store instead, so a TracePump over it builds no generator per block.
  */
 
 #ifndef PINTE_TRACE_TRACE_STORE_HH
@@ -134,6 +136,11 @@ class TraceStore
     /** Bytes held: encoded records plus chunk-start states. */
     std::size_t bytes() const;
 
+    /** Live generators built for this store's cursors so far: one per
+     *  saveState(), skip(), loadState() and detach of an attached
+     *  cursor. */
+    std::size_t liveBuilds() const { return liveBuilds_.load(); }
+
   private:
     friend class TraceReplay;
 
@@ -171,6 +178,7 @@ class TraceStore
     std::size_t bytes_ = 0;
     bool full_ = false; //!< the next chunk would pass a bound
 
+    std::atomic<std::size_t> liveBuilds_{0};
 };
 
 /** One store per core of a run; a null entry means that core runs a
@@ -189,6 +197,14 @@ class TraceReplay final : public TraceSource
     void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;
 
+    /**
+     * O(1) tokens that build no generator: an attached cursor's is
+     * its chunk index, byte offset, records left and codec state; a
+     * detached cursor's is its live generator's state.
+     */
+    void mark(SnapshotWriter &w) const override;
+    void rewind(SnapshotReader &r) override;
+
     /** True once the cursor has left the store for a live generator. */
     bool detached() const { return live_ != nullptr; }
 
@@ -205,6 +221,7 @@ class TraceReplay final : public TraceSource
 
     std::shared_ptr<TraceStore> store_;
     std::unique_ptr<TraceGenerator> live_;
+    const std::uint8_t *base_ = nullptr; //!< the chunk's first byte
     const std::uint8_t *p_ = nullptr; //!< next encoded record
     std::size_t left_ = 0;            //!< records left in the chunk
     std::uint64_t nextChunk_ = 0;     //!< index of the chunk after it

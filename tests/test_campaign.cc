@@ -19,6 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <sstream>
@@ -34,6 +38,7 @@
 #include "sim/options.hh"
 #include "sim/shard_queue.hh"
 #include "sim/sink.hh"
+#include "trace/trace_pump.hh"
 
 #include "expect_error.hh"
 
@@ -392,6 +397,61 @@ TEST(Campaign, PairAndMixGridIsEqualAtOneAndFourWorkers)
                     << " workers";
         }
     }
+}
+
+TEST(Campaign, PumpedSweepIsEqualOnEveryBackend)
+{
+    // At one worker a cell's replayed stream is pumped on any host
+    // with two CPUs: on the process and spool backends inside the
+    // forked child. Every backend must report what an inline run
+    // reports, cpu_seconds aside.
+    const std::vector<ExperimentSpec> cells = sweep();
+    std::vector<std::string> inlined;
+    for (const ExperimentSpec &c : cells)
+        inlined.push_back(canonical(c.tryRun({}, 0).result));
+    ProcOptions proc;
+    proc.workers = 1;
+    BrokerOptions broker;
+    broker.spool = scratch("pumped_spool");
+    broker.workers = 1;
+    for (const IsolationMode backend :
+         {IsolationMode::Thread, IsolationMode::Process,
+          IsolationMode::Spool}) {
+        const auto results =
+            runCampaign(cells, backend, proc, nullptr, broker);
+        ASSERT_EQ(results.size(), cells.size()) << toString(backend);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            ASSERT_EQ(results[i].size(), 1u);
+            EXPECT_EQ(canonical(results[i][0]), inlined[i])
+                << toString(backend) << " cell " << i;
+        }
+    }
+}
+
+TEST(Campaign, NoProducerStartsWhenWorkersFillTheCpus)
+{
+    // --jobs at the CPU count leaves no CPU idle, so no cell pumps. A
+    // watcher samples the process's producer count all along.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+    const auto cpus = static_cast<unsigned>(CPU_COUNT(&set));
+    EXPECT_EQ(TracePump::budget(cpus), 0u);
+    std::atomic<bool> done{false};
+    std::atomic<unsigned> seen{0};
+    std::thread watcher([&] {
+        while (!done.load()) {
+            seen = std::max(seen.load(), TracePump::producers());
+            std::this_thread::yield();
+        }
+    });
+    ProcOptions proc;
+    proc.workers = cpus;
+    const auto results = runCampaign(sweep(), IsolationMode::Thread, proc);
+    done = true;
+    watcher.join();
+    EXPECT_EQ(results.size(), sweep().size());
+    EXPECT_EQ(seen.load(), 0u);
 }
 
 TEST(Json, UnsignedIntegersRoundTripExactly)

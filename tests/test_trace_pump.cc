@@ -6,9 +6,11 @@
  * loadState() and reset() a pump cannot be told apart from its bare
  * inner source, by records or by checkpoint bytes; a throwing source
  * throws at the same record; and the producer never outlives the
- * pump. The integration tests check that a single run, which pumps
- * its live traces when a CPU is spare, reports what the same cell
- * reports through runCampaign(), which never pumps.
+ * pump, even over a TraceReplay whose store grows, ends or is
+ * extended by another thread. The integration tests check that a
+ * single run, which pumps its streams when a CPU is spare, reports
+ * what the same cell reports through a one-worker runCampaign(), and
+ * that no backend forks while a producer runs.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include <sched.h>
 
+#include <atomic>
 #include <chrono>
 #include <ctime>
 #include <cstdio>
@@ -37,6 +40,7 @@
 #include "sim/sink.hh"
 #include "sim/watchdog.hh"
 #include "trace/trace_pump.hh"
+#include "trace/trace_store.hh"
 #include "trace/zoo.hh"
 
 using namespace pinte;
@@ -193,69 +197,165 @@ quick()
     return p;
 }
 
-/** Every core of `cell` run on its own (pumped when a CPU is spare)
- *  and through runCampaign (inline), serialized core by core. */
+/** Every core of `cell` run on its own (pumped when a CPU is spare),
+ *  inline, and through a one-worker runCampaign, serialized core by
+ *  core. */
 void
 expectPumpedEqualsCampaign(const ExperimentSpec &cell)
 {
     const std::vector<RunResult> single = cell.runAll();
+    const std::vector<RunResult> inlined = cell.runAll({}, {}, 0);
     ProcOptions proc;
     proc.workers = 1;
     const auto campaign =
         runCampaign({cell}, IsolationMode::Thread, proc).front();
+    ASSERT_EQ(single.size(), inlined.size());
     ASSERT_EQ(single.size(), campaign.size());
     for (std::size_t c = 0; c < single.size(); ++c) {
         ASSERT_FALSE(single[c].failed()) << single[c].error.message;
+        EXPECT_EQ(canonical(single[c]), canonical(inlined[c]))
+            << "core " << c;
         EXPECT_EQ(canonical(single[c]), canonical(campaign[c]))
             << "core " << c;
     }
+}
+
+/**
+ * Drive a pump and the unpumped twin of its inner source through the
+ * same 400 random operations, requiring equal records and equal
+ * saveState() bytes. Runs of next() end on, just before and just
+ * after a block boundary, and at random points; every other operation
+ * lands wherever the runs left the consumer — mid-block while the
+ * producer is filling ahead, right after a park, or on a fresh pump
+ * that has not started.
+ */
+void
+expectTwinsUnderRandomOperations(TracePump &pump, TraceSource &bare,
+                                 std::uint64_t seed)
+{
+    const std::uint64_t runs[] = {0,         1,         block - 1,
+                                  block,     block + 1, 2 * block,
+                                  3 * block, 8 * block + 7};
+    std::vector<std::vector<std::uint8_t>> saved;
+    Rng rng(seed);
+    for (int op = 0; op < 400; ++op) {
+        const std::uint64_t kind = rng.drawRange(10);
+        if (kind < 5) {
+            const std::uint64_t n =
+                rng.drawBool(0.5) ? runs[rng.drawRange(std::size(runs))]
+                                  : rng.drawRange(3 * block);
+            ASSERT_TRUE(sameStream(pump, bare, n)) << "op " << op;
+        } else if (kind == 5) {
+            const std::uint64_t n = rng.drawRange(100000);
+            pump.skip(n);
+            bare.skip(n);
+        } else if (kind == 6 || kind == 7) {
+            saved.push_back(stateBytes(bare));
+            ASSERT_EQ(stateBytes(pump), saved.back()) << "op " << op;
+        } else if (kind == 8 && !saved.empty()) {
+            const auto &bytes = saved[rng.drawRange(saved.size())];
+            SnapshotReader a(bytes), b(bytes);
+            pump.loadState(a);
+            bare.loadState(b);
+        } else if (kind == 9 && rng.drawBool(0.2)) {
+            pump.reset();
+            bare.reset();
+        }
+    }
+    EXPECT_TRUE(sameStream(pump, bare, 4 * block));
+    EXPECT_EQ(stateBytes(pump), stateBytes(bare));
 }
 
 } // namespace
 
 TEST(TracePump, MatchesItsGeneratorUnderRandomOperations)
 {
-    // Runs of next() that end on, just before and just after a block
-    // boundary, and at random points; every other operation lands
-    // wherever the runs left the consumer — mid-block while the
-    // producer is filling ahead, right after a park, or on a fresh
-    // pump that has not started.
-    const std::uint64_t runs[] = {0,         1,         block - 1,
-                                  block,     block + 1, 2 * block,
-                                  3 * block, 8 * block + 7};
     for (const char *name : {"450.soplex", "403.gcc"}) {
+        SCOPED_TRACE(name);
         TraceGenerator bare(findWorkload(name));
         TracePump pump(generator(name));
-        std::vector<std::vector<std::uint8_t>> saved;
-        Rng rng(0x9a11);
-        for (int op = 0; op < 400; ++op) {
-            const std::uint64_t kind = rng.drawRange(10);
-            if (kind < 5) {
-                const std::uint64_t n =
-                    rng.drawBool(0.5) ? runs[rng.drawRange(std::size(runs))]
-                                      : rng.drawRange(3 * block);
-                ASSERT_TRUE(sameStream(pump, bare, n))
-                    << name << " op " << op;
-            } else if (kind == 5) {
-                const std::uint64_t n = rng.drawRange(100000);
-                pump.skip(n);
-                bare.skip(n);
-            } else if (kind == 6 || kind == 7) {
-                saved.push_back(stateBytes(bare));
-                ASSERT_EQ(stateBytes(pump), saved.back())
-                    << name << " op " << op;
-            } else if (kind == 8 && !saved.empty()) {
-                const auto &bytes = saved[rng.drawRange(saved.size())];
-                SnapshotReader a(bytes), b(bytes);
-                pump.loadState(a);
-                bare.loadState(b);
-            } else if (kind == 9 && rng.drawBool(0.2)) {
-                pump.reset();
-                bare.reset();
-            }
+        expectTwinsUnderRandomOperations(pump, bare, 0x9a11);
+        if (HasFatalFailure())
+            return;
+    }
+
+    // Over a replay cursor the pump marks the cursor's place in the
+    // store per block, and its rewinds must land where an unpumped
+    // cursor is, whoever extends the store and wherever it ends.
+    const WorkloadSpec spec = findWorkload("450.soplex");
+    {
+        SCOPED_TRACE("a store this cursor extends");
+        auto store = std::make_shared<TraceStore>(spec);
+        TraceReplay bare(std::make_shared<TraceStore>(spec));
+        TracePump pump(std::make_unique<TraceReplay>(store));
+        // Streaming builds no generator: the tokens are O(1).
+        ASSERT_TRUE(sameStream(pump, bare, 20 * block + 3));
+        EXPECT_EQ(store->liveBuilds(), 0u);
+        expectTwinsUnderRandomOperations(pump, bare, 0x9a12);
+        if (HasFatalFailure())
+            return;
+    }
+    {
+        SCOPED_TRACE("a store another thread extends concurrently");
+        auto store = std::make_shared<TraceStore>(spec);
+        std::atomic<bool> stop{false};
+        std::thread rival([&] {
+            TraceReplay cursor(store);
+            for (int k = 0; k < 400000 && !stop.load(); ++k)
+                cursor.next();
+        });
+        TraceReplay bare(std::make_shared<TraceStore>(spec));
+        TracePump pump(std::make_unique<TraceReplay>(store));
+        expectTwinsUnderRandomOperations(pump, bare, 0x9a13);
+        stop = true;
+        rival.join();
+        if (HasFatalFailure())
+            return;
+    }
+    // A store that ends: at its byteBudget, or cut short by a
+    // TraceBudget its sibling stores exhausted.
+    std::size_t chunkBytes = 0;
+    {
+        auto probe = std::make_shared<TraceStore>(spec);
+        TraceReplay cursor(probe);
+        cursor.next();
+        chunkBytes = probe->bytes();
+    }
+    const std::pair<const char *, std::size_t> ends[] = {
+        {"a store that reaches byteBudget", 0},
+        {"a store cut short by a TraceBudget", 5 * chunkBytes / 2}};
+    for (const auto &[what, total] : ends) {
+        SCOPED_TRACE(what);
+        const auto make = [&, total = total] {
+            return std::make_shared<TraceStore>(
+                spec, total ? std::make_shared<TraceBudget>(total)
+                            : nullptr);
+        };
+        std::uint64_t stored = 0;
+        {
+            auto probe = make();
+            TraceReplay cursor(probe);
+            while (!cursor.detached())
+                cursor.next();
+            stored = probe->chunks() * TraceStore::chunkRecords;
         }
-        EXPECT_TRUE(sameStream(pump, bare, 4 * block)) << name;
-        EXPECT_EQ(stateBytes(pump), stateBytes(bare)) << name;
+        ASSERT_GE(stored, 2 * TraceStore::chunkRecords);
+        auto store = make();
+        TraceReplay bare(make());
+        auto inner = std::make_unique<TraceReplay>(store);
+        const TraceReplay &cursor = *inner;
+        TracePump pump(std::move(inner));
+        // A checkpoint 200 records into a block moves the pump's blocks
+        // off the chunk grid, so the store ends 200 records into one.
+        ASSERT_TRUE(sameStream(pump, bare, stored - 2 * block - 200));
+        ASSERT_EQ(stateBytes(pump), stateBytes(bare));
+        ASSERT_TRUE(sameStream(pump, bare, 4 * block));
+        ASSERT_EQ(stateBytes(pump), stateBytes(bare));
+        // Read while the producer is parked by the checkpoint.
+        EXPECT_TRUE(cursor.detached());
+        expectTwinsUnderRandomOperations(pump, bare, 0x9a14);
+        if (HasFatalFailure())
+            return;
     }
 }
 
@@ -377,23 +477,77 @@ TEST(TracePump, TimeoutLeavesNoThreadBehind)
 
 TEST(TracePump, EngagesOnlyWithASpareCpu)
 {
+    // A single run pumps on the CPUs it leaves idle: on one CPU none.
+    const auto pumpedDuringRun = [] {
+        unsigned seen = 0;
+        ExperimentSpec(MachineConfig::scaled())
+            .workload(findWorkload("450.soplex"))
+            .params(quick())
+            .runAll([&](System &) { seen = TracePump::producers(); });
+        return seen;
+    };
     {
         AffinityScope one(1);
         ASSERT_TRUE(one.ok());
-        auto gen = generator();
-        const TraceSource *raw = gen.get();
-        const auto src = TracePump::wrapIfSpareCpu(std::move(gen));
-        EXPECT_EQ(src.get(), raw);
+        EXPECT_EQ(TracePump::budget(1), 0u);
+        EXPECT_EQ(pumpedDuringRun(), 0u);
     }
     AffinityScope two(2);
     if (!two.ok())
         GTEST_SKIP() << "needs two CPUs";
-    const auto first = TracePump::wrapIfSpareCpu(generator());
-    EXPECT_NE(dynamic_cast<TracePump *>(first.get()), nullptr);
-    // The one spare CPU is held until the first pump is gone.
-    EXPECT_EQ(dynamic_cast<TracePump *>(
-                  TracePump::wrapIfSpareCpu(generator()).get()),
-              nullptr);
+    EXPECT_EQ(TracePump::budget(1), 1u);
+    EXPECT_EQ(pumpedDuringRun(), 1u);
+    EXPECT_EQ(TracePump::producers(), 0u);
+}
+
+TEST(TracePump, BudgetSharesTheCpusTheWorkersLeaveIdle)
+{
+    {
+        AffinityScope one(1);
+        ASSERT_TRUE(one.ok());
+        EXPECT_EQ(TracePump::budget(0), 0u);
+        EXPECT_EQ(TracePump::budget(1), 0u);
+    }
+    AffinityScope four(4);
+    if (!four.ok())
+        GTEST_SKIP() << "needs four CPUs";
+    // (4 - J) / J: a single run keeps three, two workers one each,
+    // and from three workers up (more than half the CPUs) none.
+    const unsigned expected[] = {0, 3, 1, 0, 0, 0, 0};
+    for (unsigned j = 0; j < std::size(expected); ++j)
+        EXPECT_EQ(TracePump::budget(j), expected[j]) << j << " workers";
+}
+
+TEST(TracePump, BackendsRefuseToForkWhileAProducerRuns)
+{
+    // A child forked beside a producer would inherit its ring and its
+    // source's locks without the thread: both fork sites refuse.
+    const std::vector<ExperimentSpec> cells = {
+        ExperimentSpec(MachineConfig::scaled())
+            .workload(findWorkload("416.gamess"))
+            .params(quick())};
+    ProcOptions proc;
+    proc.workers = 1;
+    BrokerOptions broker;
+    broker.spool = ::testing::TempDir() + "pinte_pump_fork_spool";
+    std::filesystem::remove_all(broker.spool);
+    broker.workers = 1;
+    {
+        TracePump pump(generator());
+        pump.next();
+        ASSERT_EQ(TracePump::producers(), 1u);
+        EXPECT_ERROR(runCampaign(cells, IsolationMode::Process, proc),
+                     SimError, "fork refused");
+        EXPECT_ERROR(runCampaign(cells, IsolationMode::Spool, proc,
+                                 nullptr, broker),
+                     SimError, "fork refused");
+    }
+    EXPECT_EQ(TracePump::producers(), 0u);
+    std::filesystem::remove_all(broker.spool);
+    const auto results = runCampaign(cells, IsolationMode::Process, proc);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0][0].failed()) << results[0][0].error.message;
+    std::filesystem::remove_all(broker.spool);
 }
 
 TEST(TracePumpRun, CpuSecondsCountTheProducer)
@@ -454,9 +608,9 @@ TEST(TracePumpRun, PairRunEqualsItsCampaignCell)
 
 TEST(TracePumpRun, CheckpointsMatchAndResumeEitherWay)
 {
-    // A pumped run and its campaign cell leave the same checkpoint
-    // file (the last one, 24000 of 30000 ROI instructions), and each
-    // path resumes the other's checkpoint to the straight result.
+    // A pumped run and an inline one leave the same checkpoint file
+    // (the last one, 24000 of 30000 ROI instructions), and each path
+    // resumes the other's checkpoint to the straight result.
     const std::string pumped = tempPath("pumped");
     const std::string inlined = tempPath("inline");
     std::remove(pumped.c_str());
@@ -474,12 +628,8 @@ TEST(TracePumpRun, CheckpointsMatchAndResumeEitherWay)
             .pinte(0.2)
             .params(q);
     };
-    const auto campaign = [](const ExperimentSpec &c) {
-        ProcOptions proc;
-        proc.workers = 1;
-        return runCampaign({c}, IsolationMode::Thread, proc)
-            .front()
-            .front();
+    const auto inlineRun = [](const ExperimentSpec &c) {
+        return c.runAll({}, {}, 0).front();
     };
     const RunResult straight = ExperimentSpec(MachineConfig::scaled())
                                    .workload(findWorkload("450.soplex"))
@@ -488,7 +638,7 @@ TEST(TracePumpRun, CheckpointsMatchAndResumeEitherWay)
                                    .run();
 
     EXPECT_EQ(canonical(cell(pumped).run()), canonical(straight));
-    EXPECT_EQ(canonical(campaign(cell(inlined))), canonical(straight));
+    EXPECT_EQ(canonical(inlineRun(cell(inlined))), canonical(straight));
     const std::string bytes = slurp(pumped);
     ASSERT_FALSE(bytes.empty());
     EXPECT_EQ(bytes, slurp(inlined));
@@ -498,7 +648,7 @@ TEST(TracePumpRun, CheckpointsMatchAndResumeEitherWay)
     std::filesystem::rename(inlined, pumped);
     std::filesystem::rename(pumped + ".swap", inlined);
     EXPECT_EQ(canonical(cell(pumped).run()), canonical(straight));
-    EXPECT_EQ(canonical(campaign(cell(inlined))), canonical(straight));
+    EXPECT_EQ(canonical(inlineRun(cell(inlined))), canonical(straight));
     std::remove(pumped.c_str());
     std::remove(inlined.c_str());
 }

@@ -389,6 +389,63 @@ TEST(TraceReplay, StoresSharingABudgetStopGrowingTogether)
     EXPECT_EQ(third->chunks(), 1u);
 }
 
+TEST(TraceReplay, AttachedTokenBuildsNoGenerator)
+{
+    // A TracePump marks a token per block and rewinds to one on every
+    // checkpoint: an attached cursor's token is its place in the
+    // store, so neither builds a live generator, and rewinding to one
+    // resumes the stored stream, across chunk edges too.
+    const WorkloadSpec spec = findWorkload("403.gcc");
+    auto store = std::make_shared<TraceStore>(spec);
+    TraceReplay cursor(store);
+    TraceReplay twin(store);
+    // Tokens at record 0, 6001 (mid-chunk), 12288 (a chunk edge),
+    // 20479 and 28673 (either side of one) and 47673, each followed
+    // by 5000 records read ahead and rewound.
+    std::uint64_t at = 0;
+    for (const std::uint64_t step :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{287},
+          std::uint64_t{2191}, std::uint64_t{2194}, std::uint64_t{13000}}) {
+        ASSERT_TRUE(sameStream(cursor, twin, step, at));
+        at += step;
+        SnapshotWriter w;
+        cursor.mark(w);
+        for (int k = 0; k < 5000; ++k)
+            cursor.next();
+        SnapshotReader r(w.bytes());
+        cursor.rewind(r);
+        EXPECT_FALSE(cursor.detached()) << "at " << at;
+        ASSERT_TRUE(sameStream(cursor, twin, 6000, at));
+        at += 6000;
+    }
+    EXPECT_EQ(store->liveBuilds(), 0u);
+
+    // A detached cursor's token is its generator's state; an attached
+    // token taken before the detach re-attaches it.
+    SnapshotWriter attached;
+    cursor.mark(attached);
+    const std::uint64_t marked = at;
+    cursor.skip(1000);
+    ASSERT_TRUE(cursor.detached());
+    SnapshotWriter detached;
+    cursor.mark(detached);
+    std::vector<TraceRecord> ahead;
+    for (int k = 0; k < 3000; ++k)
+        ahead.push_back(cursor.next());
+    SnapshotReader back(detached.bytes());
+    cursor.rewind(back);
+    VectorTraceSource replayed(ahead);
+    EXPECT_TRUE(sameStream(cursor, replayed, ahead.size()));
+
+    SnapshotReader front(attached.bytes());
+    cursor.rewind(front);
+    EXPECT_FALSE(cursor.detached());
+    TraceGenerator live(spec);
+    for (std::uint64_t k = 0; k < marked; ++k)
+        live.next();
+    EXPECT_TRUE(sameStream(cursor, live, 5000, marked));
+}
+
 TEST(TraceReplay, RunResultsEqualLiveGeneration)
 {
     // A pair: core 1's stream lives in its own address space, so its

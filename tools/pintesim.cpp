@@ -340,7 +340,9 @@ spoolWorkerMain(const std::string &spool_dir)
                               {"pintesim", spool_dir, keys[k]});
 
     // Whatever shards this worker claims, cells that replay one stream
-    // share it through a store that lives as long as the worker.
+    // share it through a store that lives as long as the worker. A
+    // hand-started worker cannot see its siblings, so it pumps
+    // nothing: it leaves every other CPU to them.
     std::vector<std::size_t> all(cells.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     const std::vector<TraceStores> traces = sharedTraces(cells, all);
@@ -352,7 +354,7 @@ spoolWorkerMain(const std::string &spool_dir)
         spool_dir, keys,
         [&](std::size_t k) {
             JobWatchdog::Scope watchdog(sc.jobTimeout);
-            return cells[k].tryRun(traces[k], LiveTraces::Inline).result;
+            return cells[k].tryRun(traces[k], 0).result;
         },
         wopt);
     return 0;
