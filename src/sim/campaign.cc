@@ -115,10 +115,14 @@ runCampaign(const std::vector<ExperimentSpec> &cells,
 
     // Each simulating worker may pump its cells' streams on its share
     // of the CPUs the campaign's workers leave idle. A pump lives
-    // inside one cell's run: in the process and spool backends, in
-    // the forked child that runs it, never in the parent that forks.
-    const unsigned producers = TracePump::budget(
-        backend == IsolationMode::Spool ? broker.workers : proc.workers);
+    // inside one cell's run: in the process backend, in the forked
+    // child that runs it, never in the parent that forks. A spool's
+    // workers cannot count one another (the broker's share it with
+    // hand-started ones it never sees), so like a hand-started worker
+    // they pump nothing: a CPU they took for idle may be a sibling's.
+    const unsigned producers = backend == IsolationMode::Spool
+                                   ? 0
+                                   : TracePump::budget(proc.workers);
 
     switch (backend) {
       case IsolationMode::Thread: {

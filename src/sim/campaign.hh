@@ -54,12 +54,13 @@ sharedTraces(const std::vector<ExperimentSpec> &cells,
  *    cell's key. The broker's forked workers run tryRun() on the
  *    cells in memory, `proc.jobTimeout` armed as the cooperative
  *    watchdog. All cells must share one machine fingerprint.
- * On every backend a cell's streams, replayed or live, are pumped
- * (trace/trace_pump.hh) on TracePump::budget(J) producer threads,
- * where J is `broker.workers` on the spool backend and
- * `proc.workers` otherwise: the CPUs the J workers leave idle, shared
- * among them. A pump lives inside one cell's run, so on the process
- * and spool backends it starts in the forked child, after the fork.
+ * On the thread and process backends a cell's streams, replayed or
+ * live, are pumped (trace/trace_pump.hh) on TracePump::budget(J)
+ * producer threads, J = `proc.workers`: the CPUs the J workers leave
+ * idle, shared among them. A pump lives inside one cell's run, so on
+ * the process backend it starts in the forked child, after the fork.
+ * Spool cells pump nothing: the broker's workers share the spool with
+ * hand-started ones they cannot count, so no CPU is known idle.
  * The process and spool backends ship core 0 only, so they refuse a
  * multi-core cell with a ConfigError. Every core of a success is
  * journaled under cellKey(cell, core). A core a backend quarantines

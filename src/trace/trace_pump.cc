@@ -128,6 +128,13 @@ void
 TracePump::takeBlock()
 {
     std::uint32_t ready = published_.load(std::memory_order_acquire);
+    // An empty ring and a free mutex: the producer is not filling, and
+    // waiting for it would cost its wake-up latency. Fill it here.
+    if (ready == taken_ && fill_.try_lock()) {
+        fillNext();
+        fill_.unlock();
+        ready = published_.load(std::memory_order_acquire);
+    }
     while (ready == taken_) {
         published_.wait(ready, std::memory_order_acquire);
         ready = published_.load(std::memory_order_acquire);
@@ -185,8 +192,6 @@ TracePump::command(std::uint32_t cmd) const
 void
 TracePump::produce()
 {
-    std::uint32_t made = 0; // blocks published since resume
-    bool failed = false;    // the inner source threw: stop filling
     std::uint32_t c = ctl_.load(std::memory_order_acquire);
     for (;;) {
         switch (c & cmdMask) {
@@ -194,27 +199,43 @@ TracePump::produce()
             return;
           case cmdPark:
             if (parked_.load(std::memory_order_relaxed) != c) {
-                made = 0;
-                failed = false;
-                published_.store(0, std::memory_order_relaxed);
+                {
+                    const std::lock_guard<std::mutex> lock(fill_);
+                    failed_ = false;
+                    published_.store(0, std::memory_order_relaxed);
+                }
                 parked_.store(c, std::memory_order_release);
                 parked_.notify_one();
             }
             break;
-          default:
-            if (!failed &&
-                made - released_.load(std::memory_order_acquire) <
-                    ringBlocks) {
-                failed = !fill(ring_[made % ringBlocks]);
-                published_.store(++made, std::memory_order_release);
+          default: {
+            bool filled;
+            {
+                const std::lock_guard<std::mutex> lock(fill_);
+                filled = fillNext();
+            }
+            if (filled) {
                 published_.notify_one();
                 c = ctl_.load(std::memory_order_acquire);
                 continue;
             }
+          }
         }
         ctl_.wait(c, std::memory_order_acquire);
         c = ctl_.load(std::memory_order_acquire);
     }
+}
+
+bool
+TracePump::fillNext() noexcept
+{
+    const std::uint32_t made = published_.load(std::memory_order_relaxed);
+    if (failed_ ||
+        made - released_.load(std::memory_order_acquire) >= ringBlocks)
+        return false;
+    failed_ = !fill(ring_[made % ringBlocks]);
+    published_.store(made + 1, std::memory_order_release);
+    return true;
 }
 
 bool

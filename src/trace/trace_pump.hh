@@ -18,6 +18,14 @@
  * destructor on every exit path. An exception it catches from the
  * inner source is rethrown by next() at the record where it occurred.
  *
+ * Either thread fills a block. A consumer that finds the ring empty
+ * while the producer is not filling one (not started yet, not yet
+ * awake after its wake-up, or preempted between blocks) fills the
+ * next block itself instead of waiting. Blocks are filled one at a
+ * time, in order, under one mutex, so the stream is the same whoever
+ * fills them; a producer that gets no CPU costs the consumer about
+ * what the inline path does, not a scheduler's wake-up latency.
+ *
  * Rewind rule. skip(), saveState(), loadState() and reset() act on
  * the consumer's position, which the inner source has run ahead of.
  * Each one parks the producer, restores the inner source to the
@@ -42,6 +50,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/snapshot.hh"
@@ -160,6 +169,10 @@ class TracePump final : public TraceSource
     /** Fill `b` from the inner source; false if it threw. */
     bool fill(Block &b) noexcept;
 
+    /** With fill_ held: fill and publish the next block, unless the
+     *  ring is full or a fill failed. True if it filled one. */
+    bool fillNext() noexcept;
+
     std::unique_ptr<TraceSource> inner_;
     std::unique_ptr<Block[]> ring_; //!< allocated at the first start
     bool noThread_ = false;   //!< no thread could start: run inline
@@ -175,17 +188,24 @@ class TracePump final : public TraceSource
     mutable bool running_ = false; //!< the ring is the producer's
     mutable std::uint32_t ctlSent_ = cmdRun; //!< last value of ctl_
 
-    // Shared. Each has one writer; the producer waits on ctl_ only.
+    // Shared. Each has one writer, published_ one at a time under
+    // fill_; the producer waits on ctl_ and fill_ only.
     /** Consumer -> producer: a sequence number (bits 2 and up) that
      *  moves on every write, plus the command. */
     alignas(64) mutable std::atomic<std::uint32_t> ctl_{cmdRun};
     /** Consumer -> producer: blocks released since resume. */
     std::atomic<std::uint32_t> released_{0};
-    /** Producer -> consumer: blocks published since resume. On its
+    /** Filler -> consumer: blocks published since resume. On its
      *  own cache line, away from the consumer's cursor. */
     alignas(64) std::atomic<std::uint32_t> published_{0};
     /** Producer -> consumer: the ctl_ value it last parked at. */
     std::atomic<std::uint32_t> parked_{cmdRun};
+
+    /** Held while either thread fills a block (fillNext()). */
+    std::mutex fill_;
+    /** A fill threw: fill nothing until the producer parks. Guarded
+     *  by fill_. */
+    bool failed_ = false;
 
     /** Declared after everything it uses. */
     std::thread producer_;

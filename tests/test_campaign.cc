@@ -402,9 +402,9 @@ TEST(Campaign, PairAndMixGridIsEqualAtOneAndFourWorkers)
 TEST(Campaign, PumpedSweepIsEqualOnEveryBackend)
 {
     // At one worker a cell's replayed stream is pumped on any host
-    // with two CPUs: on the process and spool backends inside the
-    // forked child. Every backend must report what an inline run
-    // reports, cpu_seconds aside.
+    // with two CPUs: on the process backend inside the forked child.
+    // The spool backend pumps nothing. Every backend must report what
+    // an inline run reports, cpu_seconds aside.
     const std::vector<ExperimentSpec> cells = sweep();
     std::vector<std::string> inlined;
     for (const ExperimentSpec &c : cells)

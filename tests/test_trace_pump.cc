@@ -103,6 +103,25 @@ threadCount()
         std::distance(tasks, std::filesystem::directory_iterator()));
 }
 
+/** threadCount() once no exited thread is still listed. The kernel
+ *  wakes a joiner before it drops the exited thread from
+ *  /proc/self/task, so a count read right after a join(), this test's
+ *  or an earlier one's, may still list it: read until two reads 2 ms
+ *  apart agree, for at most a second. */
+std::size_t
+settledThreadCount()
+{
+    std::size_t n = threadCount();
+    for (int i = 0; i < 500; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        const std::size_t m = threadCount();
+        if (m == n)
+            break;
+        n = m;
+    }
+    return n;
+}
+
 /** Restrict the calling thread to its first `n` allowed CPUs for the
  *  scope; false (and no change) if it has fewer. */
 class AffinityScope
@@ -412,7 +431,7 @@ TEST(TracePump, ThrowsWhereItsSourceThrows)
 
 TEST(TracePump, NothingStartsBeforeTheFirstRecord)
 {
-    const std::size_t before = threadCount();
+    const std::size_t before = settledThreadCount();
     {
         TracePump pump(generator());
         EXPECT_EQ(threadCount(), before);
@@ -424,12 +443,12 @@ TEST(TracePump, NothingStartsBeforeTheFirstRecord)
         pump.next();
         EXPECT_EQ(threadCount(), before + 1);
     }
-    EXPECT_EQ(threadCount(), before);
+    EXPECT_EQ(settledThreadCount(), before);
 }
 
 TEST(TracePump, DestroyingAFullRingReturns)
 {
-    const std::size_t before = threadCount();
+    const std::size_t before = settledThreadCount();
     {
         TracePump pump(generator());
         pump.next();
@@ -438,12 +457,12 @@ TEST(TracePump, DestroyingAFullRingReturns)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         EXPECT_GT(pump.producerCpuSeconds(), 0.0);
     }
-    EXPECT_EQ(threadCount(), before);
+    EXPECT_EQ(settledThreadCount(), before);
 }
 
 TEST(TracePump, TimeoutLeavesNoThreadBehind)
 {
-    const std::size_t before = threadCount();
+    const std::size_t before = settledThreadCount();
     {
         JobWatchdog::Scope watchdog(0.05);
         EXPECT_ERROR(
@@ -457,7 +476,7 @@ TEST(TracePump, TimeoutLeavesNoThreadBehind)
             },
             TimeoutError, "no instruction progress");
     }
-    EXPECT_EQ(threadCount(), before);
+    EXPECT_EQ(settledThreadCount(), before);
 
     // The same through a run: the injected hang wedges the ROI after
     // a warmup that started the pump (when a CPU is spare for it).
@@ -472,7 +491,7 @@ TEST(TracePump, TimeoutLeavesNoThreadBehind)
                      TimeoutError, "no instruction progress");
     }
     armFault("");
-    EXPECT_EQ(threadCount(), before);
+    EXPECT_EQ(settledThreadCount(), before);
 }
 
 TEST(TracePump, EngagesOnlyWithASpareCpu)
